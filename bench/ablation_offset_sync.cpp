@@ -12,7 +12,7 @@
 //    what buffers do (shift windows).
 // Either way both techniques plateau at the same structural floor — the
 // staleness quantization of the coarsest-period hop — which only a faster
-// pipeline can lower (see disparity/sensitivity.hpp).
+// pipeline can lower (see disparity_sensitivity in engine/incremental.hpp).
 
 #include <iostream>
 
@@ -20,8 +20,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "disparity/exact.hpp"
-#include "disparity/multi_buffer.hpp"
-#include "disparity/offset_opt.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/incremental.hpp"
 #include "experiments/table.hpp"

@@ -28,8 +28,8 @@
 #include <string>
 
 #include "chain/critical.hpp"
-#include "disparity/requirements.hpp"
 #include "engine/analysis_engine.hpp"
+#include "engine/requirements.hpp"
 #include "experiments/table.hpp"
 #include "graph/dot.hpp"
 #include "graph/paths.hpp"

@@ -79,4 +79,11 @@ void apply_buffer_design(TaskGraph& g, const BufferDesign& design) {
   g.set_buffer_size(design.from, design.to, design.buffer_size);
 }
 
+void apply_multi_buffer_design(TaskGraph& g,
+                               const MultiBufferDesign& design) {
+  for (const ChannelBuffer& cb : design.channels) {
+    g.set_buffer_size(cb.from, cb.to, cb.buffer_size);
+  }
+}
+
 }  // namespace ceta

@@ -8,8 +8,18 @@
 // Algorithm 1 picks n so the two window *midpoints* align as closely as a
 // multiple of the head's period allows; Theorem 3 lowers the Theorem 2
 // bound by exactly the shift L.
+//
+// A fusion task with k > 2 chains has k windows; the multi-chain design
+// (AnalysisEngine::optimize_buffers) groups the chains by head channel and
+// shifts every group's window onto the stalest one, producing the
+// MultiBufferDesign below.  Its optimized bound is a re-analysis of the
+// buffered graph, so it is safe by construction.  A buffered channel
+// delays data for *every* consumer downstream, so the design may change
+// the data age and disparity observed elsewhere.
 
 #pragma once
+
+#include <vector>
 
 #include "disparity/forkjoin.hpp"
 #include "graph/paths.hpp"
@@ -65,5 +75,29 @@ BufferDesign design_buffer(const TaskGraph& g, const Path& lambda,
 /// @param design  As returned by design_buffer; sizes <= 1 are no-ops.
 /// Complexity: O(E) edge lookup.
 void apply_buffer_design(TaskGraph& g, const BufferDesign& design);
+
+/// One buffered channel of a multi-chain design.
+struct ChannelBuffer {
+  TaskId from = 0;        ///< producer end of the channel
+  TaskId to = 0;          ///< consumer end of the channel
+  int buffer_size = 1;    ///< FIFO depth to install (Lemma 6)
+  /// Window shift of the chains through this channel: (size−1)·T(from).
+  Duration shift;
+};
+
+/// A complete buffer assignment for one fusion task, as produced by
+/// AnalysisEngine::optimize_buffers.
+struct MultiBufferDesign {
+  /// Channels to buffer (sizes > 1 only; empty = nothing to gain).
+  std::vector<ChannelBuffer> channels;
+  /// Worst-case disparity bound of the task before / after buffering
+  /// (both via the task-level analyzer with the given options).
+  Duration baseline_bound;   ///< bound on the unbuffered graph
+  Duration optimized_bound;  ///< bound after applying `channels`
+};
+
+/// @brief Apply a multi-chain design to a graph (sets every channel's FIFO
+/// size).
+void apply_multi_buffer_design(TaskGraph& g, const MultiBufferDesign& design);
 
 }  // namespace ceta

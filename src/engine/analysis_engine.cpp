@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "chain/latency.hpp"
 #include "common/error.hpp"
+#include "common/interval.hpp"
 #include "disparity/dag_dp.hpp"
 #include "disparity/pair_kernel.hpp"
 #include "engine/thread_pool.hpp"
@@ -443,7 +447,7 @@ DisparityReport AnalysisEngine::disparity(TaskId task,
     // one of its own workers (disparity_all's per-sink jobs): with no work
     // stealing, tiles queued behind blocked workers would deadlock.  The
     // chain-set and chain-bound reads are uncounted plumbing of this one
-    // logical report lookup (see EngineCacheStats).
+    // logical report lookup (see metrics()).
     const std::vector<Path>& chain_list =
         chains_impl(task, opt.path_cap, /*counted=*/false);
     const std::size_t n = chain_list.size();
@@ -542,7 +546,86 @@ BufferDesign AnalysisEngine::optimize_buffer_pair(const Path& lambda,
 
 MultiBufferDesign AnalysisEngine::optimize_buffers(
     TaskId task, const DisparityOptions& opt) const {
-  return design_buffers_for_task(graph_, task, response_times(), opt);
+  obs::Span span("engine", "optimize_buffers");
+  span.arg("task", static_cast<std::int64_t>(task));
+  const DisparityReport base = disparity(task, opt);
+  if (base.truncated) {
+    throw CapacityError("optimize_buffers: task '" +
+                        graph_.task(task).name +
+                        "' has more source chains than path_cap " +
+                        std::to_string(opt.path_cap) +
+                        "; the buffer design needs the enumerated chains");
+  }
+  MultiBufferDesign design;
+  design.baseline_bound = base.worst_case;
+  design.optimized_bound = base.worst_case;
+  if (base.chains.size() < 2) return design;
+
+  // Group chains by head channel; a group's window midpoint summary is
+  // the mean of its members' (doubled) midpoints under Lemma 1 windows
+  // anchored at r(J) = 0.
+  struct Group {
+    TaskId from;
+    TaskId to;
+    double sum_m2 = 0.0;
+    int members = 0;
+  };
+  std::map<std::pair<TaskId, TaskId>, Group> groups;
+  for (const Path& chain : base.chains) {
+    if (chain.size() < 2) continue;  // the task itself is a source
+    const BackwardBounds b = chain_bounds(chain, opt.hop_method);
+    const Interval window(-b.wcbt, -b.bcbt);
+    const auto key = std::make_pair(chain[0], chain[1]);
+    Group& grp = groups
+                     .try_emplace(key, Group{chain[0], chain[1], 0.0, 0})
+                     .first->second;
+    grp.sum_m2 += static_cast<double>(window.doubled_midpoint());
+    ++grp.members;
+  }
+  if (groups.size() < 2) return design;
+
+  double target_m2 = 0.0;
+  bool first = true;
+  for (const auto& [key, grp] : groups) {
+    const double m2 = grp.sum_m2 / grp.members;
+    if (first || m2 < target_m2) {
+      target_m2 = m2;
+      first = false;
+    }
+  }
+
+  TaskGraph buffered = graph_;
+  std::vector<ChannelBuffer> channels;
+  for (const auto& [key, grp] : groups) {
+    CETA_EXPECTS(graph_.channel(grp.from, grp.to).buffer_size == 1,
+                 "optimize_buffers: head channel '" +
+                     graph_.task(grp.from).name + "->" +
+                     graph_.task(grp.to).name + "' already buffered");
+    const double m2 = grp.sum_m2 / grp.members;
+    const Duration t_head = graph_.task(grp.from).period;
+    const auto k = static_cast<std::int64_t>(std::floor(
+        (m2 - target_m2) / (2.0 * static_cast<double>(t_head.count()))));
+    if (k <= 0) continue;
+    ChannelBuffer cb;
+    cb.from = grp.from;
+    cb.to = grp.to;
+    cb.buffer_size = static_cast<int>(k) + 1;
+    cb.shift = t_head * k;
+    buffered.set_buffer_size(cb.from, cb.to, cb.buffer_size);
+    channels.push_back(cb);
+  }
+  if (channels.empty()) return design;
+
+  // Safe optimized bound: re-analyze the buffered copy (Lemma 6-aware
+  // chain bounds; FIFO depths change neither releases nor demand, so the
+  // WCRT map carries over).  Keep the design only if it actually helps.
+  const Duration optimized =
+      analyze_time_disparity(buffered, task, response_times(), opt)
+          .worst_case;
+  if (optimized >= design.baseline_bound) return design;
+  design.channels = std::move(channels);
+  design.optimized_bound = optimized;
+  return design;
 }
 
 // --- Mutation API ----------------------------------------------------------
@@ -943,33 +1026,6 @@ obs::MetricsSnapshot AnalysisEngine::metrics() const {
       denom == 0 ? 0
                  : static_cast<std::int64_t>(survived * 1'000'000 / denom));
   return metrics_.snapshot();
-}
-
-EngineCacheStats AnalysisEngine::cache_stats() const {
-  // Shim: the registry counters are the source of truth; this struct view
-  // remains for existing callers.
-  EngineCacheStats s;
-  s.rta_runs = static_cast<std::size_t>(ins_.rta_runs.value());
-  s.hop_hits = static_cast<std::size_t>(ins_.hop_hits.value());
-  s.hop_misses = static_cast<std::size_t>(ins_.hop_misses.value());
-  s.chain_bound_hits = static_cast<std::size_t>(ins_.chain_bound_hits.value());
-  s.chain_bound_misses =
-      static_cast<std::size_t>(ins_.chain_bound_misses.value());
-  s.chain_set_hits = static_cast<std::size_t>(ins_.chain_set_hits.value());
-  s.chain_set_misses = static_cast<std::size_t>(ins_.chain_set_misses.value());
-  s.report_hits = static_cast<std::size_t>(ins_.report_hits.value());
-  s.report_misses = static_cast<std::size_t>(ins_.report_misses.value());
-  s.hop_stale = static_cast<std::size_t>(ins_.hop_stale.value());
-  s.chain_bound_stale =
-      static_cast<std::size_t>(ins_.chain_bound_stale.value());
-  s.chain_set_stale = static_cast<std::size_t>(ins_.chain_set_stale.value());
-  s.report_stale = static_cast<std::size_t>(ins_.report_stale.value());
-  s.mutation_commits = static_cast<std::size_t>(ins_.mutate_commits.value());
-  s.mutation_edits = static_cast<std::size_t>(ins_.mutate_edits.value());
-  s.rta_refreshed_tasks =
-      static_cast<std::size_t>(ins_.rta_refreshed_tasks.value());
-  s.survived_hits = static_cast<std::size_t>(ins_.survived_hits.value());
-  return s;
 }
 
 }  // namespace ceta

@@ -32,13 +32,16 @@
 // and a lookup recomputes iff the entry's stamp is older than any of its
 // inputs' epochs — commits cost O(affected region), never a cache scan.
 //
-// Every method returns byte-identical results to the corresponding free
-// function (asserted by tests/test_engine_cache.cpp); the free functions
-// remain the single source of truth for the math, the engine only decides
-// *when* to evaluate and remember it.  All query methods are const and
-// safe to call from several threads; disparity_all fans independent tasks
-// out over a fixed-size internal thread pool (thread_pool.hpp) and is
-// verified bit-identical to the serial loop (tests/test_engine_parallel.cpp).
+// Every analysis method returns byte-identical results to the
+// corresponding free function (asserted by tests/test_engine_cache.cpp);
+// the free functions remain the single source of truth for the math, the
+// engine only decides *when* to evaluate and remember it.  The one design
+// loop defined here, optimize_buffers, composes those memoized queries
+// with a re-analysis of a buffered graph copy.  All query methods are
+// const and safe to call from several threads; disparity_all fans
+// independent tasks out over a fixed-size internal thread pool
+// (thread_pool.hpp) and is verified bit-identical to the serial loop
+// (tests/test_engine_parallel.cpp).
 // Mutations are NOT safe against concurrent queries: a commit assumes
 // exclusive access to the engine, like non-const methods of standard
 // containers.
@@ -56,7 +59,6 @@
 #include "chain/backward_bounds.hpp"
 #include "disparity/analyzer.hpp"
 #include "disparity/buffer_opt.hpp"
-#include "disparity/multi_buffer.hpp"
 #include "engine/invalidation.hpp"
 #include "graph/paths.hpp"
 #include "graph/task_graph.hpp"
@@ -91,48 +93,6 @@ struct LatencyReport {
   Duration min_data_age;
   /// Upper bound on the reaction time to an external stimulus.
   Duration max_reaction_time;
-};
-
-/// Cache effectiveness counters (diagnostics; see cache_stats()).
-///
-/// Superseded by AnalysisEngine::metrics(), which reports the same values
-/// as named counters ("engine.hop.hits", ...) in a MetricsSnapshot
-/// together with duration histograms.  cache_stats() remains as a thin
-/// shim over the registry and will be marked [[deprecated]] once callers
-/// migrate.
-///
-/// Counting contract: each *logical* lookup is counted once, at the layer
-/// where it enters the engine.  disparity() counts one report lookup; the
-/// chain-set and chain-bound reads it performs internally (to feed the
-/// pair kernel's memoized truncated-pair table) are uncounted plumbing.
-/// chain_bounds() counts one chain-bound lookup; its per-edge hop() reads
-/// are uncounted.  Direct hop()/chains() calls count at their own layer.
-/// Uncounted reads still warm the caches and are still staleness-checked.
-struct EngineCacheStats {
-  std::size_t rta_runs = 0;
-  std::size_t hop_hits = 0;
-  std::size_t hop_misses = 0;
-  std::size_t chain_bound_hits = 0;
-  std::size_t chain_bound_misses = 0;
-  std::size_t chain_set_hits = 0;
-  std::size_t chain_set_misses = 0;
-  std::size_t report_hits = 0;
-  std::size_t report_misses = 0;
-  /// Entries found but discarded because a mutation dirtied their inputs
-  /// (recomputed like misses; counted on uncounted internal reads too).
-  std::size_t hop_stale = 0;
-  std::size_t chain_bound_stale = 0;
-  std::size_t chain_set_stale = 0;
-  std::size_t report_stale = 0;
-  /// Committed transactions / primitive edits within them.
-  std::size_t mutation_commits = 0;
-  std::size_t mutation_edits = 0;
-  /// Tasks re-run through the scoped RTA refresh (cohorts of edits).
-  std::size_t rta_refreshed_tasks = 0;
-  /// Cache hits on entries computed before the latest commit — entries
-  /// that *survived* invalidation.  retention = survived_hits /
-  /// (survived_hits + stale evictions).
-  std::size_t survived_hits = 0;
 };
 
 class AnalysisEngine {
@@ -273,8 +233,23 @@ class AnalysisEngine {
       HopBoundMethod method = HopBoundMethod::kNonPreemptive) const;
 
   /// @brief Multi-chain buffer design for every chain fusing at `task`
-  /// (§IV generalized); equals design_buffers_for_task on this graph.
-  /// Complexity: dominated by two disparity analyses of `task`.
+  /// (Algorithm 1 generalized to k chains).  Chains are grouped by head
+  /// channel; each group's window midpoint (the mean over its members,
+  /// Lemma 1 windows anchored at r(J) = 0) is aligned — up to the
+  /// granularity of the head period — with the stalest group's, and the
+  /// FIFO sizes follow Lemma 6.  The optimized bound re-runs
+  /// analyze_time_disparity on a buffered copy of graph(), so it is safe by
+  /// construction; when it does not improve on the baseline the trivial
+  /// design (no channels) is returned.
+  /// @param task  Fusion task to design for; its head channels must be
+  ///   unbuffered (PreconditionError otherwise).
+  /// @param opt   Analyzer options for both bounds.  The baseline is the
+  ///   memoized disparity(task, opt) report and the windows come from the
+  ///   memoized chain_bounds().
+  /// @throws CapacityError when the baseline report is DP-served
+  ///   (`truncated`): the design needs the enumerated chain set.
+  /// Complexity: one (usually cached) disparity lookup plus one
+  /// enumerating analysis of the buffered copy.
   MultiBufferDesign optimize_buffers(TaskId task,
                                      const DisparityOptions& opt = {}) const;
 
@@ -425,19 +400,21 @@ class AnalysisEngine {
   /// lookups served from surviving entries) plus duration histograms for
   /// RTA and disparity computation.  Point-in-time consistent per
   /// instrument.
+  ///
+  /// Counting contract: each *logical* lookup is counted once, at the
+  /// layer where it enters the engine.  disparity() counts one report
+  /// lookup; the chain-set and chain-bound reads it performs internally
+  /// (to feed the pair kernel's memoized truncated-pair table) are
+  /// uncounted plumbing.  chain_bounds() counts one chain-bound lookup; its
+  /// per-edge hop() reads are uncounted.  Direct hop()/chains() calls count
+  /// at their own layer.  Uncounted reads still warm the caches and are
+  /// still staleness-checked ("*.stale" counts them too).
   obs::MetricsSnapshot metrics() const;
 
   /// @brief The engine's private registry (stable for the engine's
   /// lifetime); exposed so callers can attach their own instruments to the
   /// same snapshot.
   obs::MetricsRegistry& metrics_registry() const { return metrics_; }
-
-  /// @brief Snapshot of the cache counters.  Thin shim over metrics():
-  /// each field is the value of the corresponding registry counter
-  /// (asserted byte-identical in tests/test_engine_cache.cpp).  Prefer
-  /// metrics().  See EngineCacheStats for the once-per-logical-lookup
-  /// counting contract.
-  EngineCacheStats cache_stats() const;
 
  private:
   /// Tag selecting the private deep-copy constructor behind clone().

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <utility>
+#include <exception>
+#include <string>
 
-#include "chain/backward_bounds.hpp"
 #include "common/error.hpp"
-#include "common/interval.hpp"
 #include "disparity/exact.hpp"
 #include "disparity/forkjoin.hpp"
 #include "graph/algorithms.hpp"
@@ -20,6 +18,29 @@ namespace {
 Duration scaled(Duration d, double factor) {
   return Duration::ns(static_cast<std::int64_t>(
       std::llround(static_cast<double>(d.count()) * factor)));
+}
+
+/// Run `body`, then `restore` — also when `body` throws, in which case the
+/// body's own exception is rethrown after the restore (the caller must see
+/// *what* failed).  A throwing restore surfaces as RollbackError naming
+/// both errors.  `what` names the restore ("buffer_pareto: buffer revert").
+template <typename Body, typename Restore>
+void run_then_restore(const char* what, Body&& body, Restore&& restore) {
+  try {
+    body();
+  } catch (...) {
+    const std::exception_ptr original = std::current_exception();
+    try {
+      restore();
+    } catch (...) {
+      throw RollbackError(std::string(what) + " failed: " +
+                          exception_message(std::current_exception()) +
+                          " (original error: " +
+                          exception_message(original) + ")");
+    }
+    std::rethrow_exception(original);
+  }
+  restore();
 }
 
 }  // namespace
@@ -42,117 +63,6 @@ AudsleyResult seed_priorities(AnalysisEngine& engine) {
   return result;
 }
 
-MultiBufferDesign design_buffers_for_task(AnalysisEngine& engine, TaskId task,
-                                          const DisparityOptions& opt) {
-  obs::Span span("engine", "design_buffers_for_task");
-  span.arg("task", static_cast<std::int64_t>(task));
-  const TaskGraph& g = engine.graph();
-  MultiBufferDesign design;
-  const DisparityReport base = engine.disparity(task, opt);
-  design.baseline_bound = base.worst_case;
-  design.optimized_bound = base.worst_case;
-  if (base.chains.size() < 2) return design;
-
-  // Group chains by head channel; a group's window midpoint summary is
-  // the mean of its members' (doubled) midpoints under Lemma 1 windows
-  // anchored at r(J) = 0.  Mirrors disparity/multi_buffer.cpp, with the
-  // bounds served from the engine's chain-bound cache.
-  struct Group {
-    TaskId from;
-    TaskId to;
-    double sum_m2 = 0.0;
-    int members = 0;
-  };
-  std::map<std::pair<TaskId, TaskId>, Group> groups;
-  for (const Path& chain : base.chains) {
-    if (chain.size() < 2) continue;  // the task itself is a source
-    const BackwardBounds b = engine.chain_bounds(chain, opt.hop_method);
-    const Interval window(-b.wcbt, -b.bcbt);
-    const auto key = std::make_pair(chain[0], chain[1]);
-    Group& grp = groups
-                     .try_emplace(key, Group{chain[0], chain[1], 0.0, 0})
-                     .first->second;
-    grp.sum_m2 += static_cast<double>(window.doubled_midpoint());
-    ++grp.members;
-  }
-  if (groups.size() < 2) return design;
-
-  double target_m2 = 0.0;
-  bool first = true;
-  for (const auto& [key, grp] : groups) {
-    const double m2 = grp.sum_m2 / grp.members;
-    if (first || m2 < target_m2) {
-      target_m2 = m2;
-      first = false;
-    }
-  }
-
-  std::vector<ChannelBuffer> channels;
-  for (const auto& [key, grp] : groups) {
-    CETA_EXPECTS(g.channel(grp.from, grp.to).buffer_size == 1,
-                 "design_buffers_for_task: head channel '" +
-                     g.task(grp.from).name + "->" + g.task(grp.to).name +
-                     "' already buffered");
-    const double m2 = grp.sum_m2 / grp.members;
-    const Duration t_head = g.task(grp.from).period;
-    const auto k = static_cast<std::int64_t>(
-        std::floor((m2 - target_m2) / (2.0 * static_cast<double>(t_head.count()))));
-    if (k <= 0) continue;
-    ChannelBuffer cb;
-    cb.from = grp.from;
-    cb.to = grp.to;
-    cb.buffer_size = static_cast<int>(k) + 1;
-    cb.shift = t_head * k;
-    channels.push_back(cb);
-  }
-  if (channels.empty()) return design;
-
-  // Probe the buffered configuration in place: one transaction resizes
-  // every designed channel, invalidating only the chain bounds through
-  // them (RTA, hops and the enumeration survive — §9 row "buffer").
-  {
-    AnalysisEngine::Transaction txn(engine);
-    for (const ChannelBuffer& cb : channels) {
-      txn.set_buffer(cb.from, cb.to, cb.buffer_size);
-    }
-    txn.commit();
-  }
-  Duration optimized;
-  try {
-    optimized = engine.disparity(task, opt).worst_case;
-  } catch (...) {
-    // Capture the analysis failure before reverting: the caller must see
-    // *what* failed, and a throwing revert must not replace it silently.
-    const std::exception_ptr original = std::current_exception();
-    try {
-      AnalysisEngine::Transaction revert(engine);
-      for (const ChannelBuffer& cb : channels) {
-        revert.set_buffer(cb.from, cb.to, 1);
-      }
-      revert.commit();
-    } catch (...) {
-      throw RollbackError(
-          "design_buffers_for_task: buffer revert failed: " +
-          exception_message(std::current_exception()) +
-          " (original error: " + exception_message(original) + ")");
-    }
-    std::rethrow_exception(original);
-  }
-  {
-    AnalysisEngine::Transaction revert(engine);
-    for (const ChannelBuffer& cb : channels) {
-      revert.set_buffer(cb.from, cb.to, 1);
-    }
-    revert.commit();
-  }
-
-  // Keep the design only if it actually helps.
-  if (optimized >= design.baseline_bound) return design;
-  design.channels = std::move(channels);
-  design.optimized_bound = optimized;
-  return design;
-}
-
 std::vector<ParetoPoint> buffer_pareto(AnalysisEngine& engine,
                                        const Path& lambda, const Path& nu,
                                        HopBoundMethod method) {
@@ -166,7 +76,7 @@ std::vector<ParetoPoint> buffer_pareto(AnalysisEngine& engine,
 
   std::vector<ParetoPoint> points;
   points.reserve(static_cast<std::size_t>(design.buffer_size));
-  try {
+  const auto sweep = [&] {
     for (int n = 1; n <= design.buffer_size; ++n) {
       ParetoPoint p;
       p.buffer_size = n;
@@ -186,19 +96,10 @@ std::vector<ParetoPoint> buffer_pareto(AnalysisEngine& engine,
       }
       points.push_back(p);
     }
-  } catch (...) {
-    const std::exception_ptr original = std::current_exception();
-    try {
-      if (design.buffer_size > 1) engine.set_buffer(design.from, design.to, 1);
-    } catch (...) {
-      throw RollbackError(
-          "buffer_pareto: buffer revert failed: " +
-          exception_message(std::current_exception()) +
-          " (original error: " + exception_message(original) + ")");
-    }
-    std::rethrow_exception(original);
-  }
-  if (design.buffer_size > 1) engine.set_buffer(design.from, design.to, 1);
+  };
+  run_then_restore("buffer_pareto: buffer revert", sweep, [&] {
+    if (design.buffer_size > 1) engine.set_buffer(design.from, design.to, 1);
+  });
   CETA_ASSERT(!points.empty(), "buffer_pareto: no points");
   CETA_ASSERT(points.back().bound <= design.optimized_bound,
               "buffer_pareto: final point must reach the Algorithm 1 bound");
@@ -218,9 +119,9 @@ std::vector<SensitivityEntry> disparity_sensitivity(
   // (and the chain sets behind the disparity queries) is stable.
   const std::vector<TaskId> closure = ancestors(engine.graph(), task);
 
-  // Mirrors bound_of in disparity/sensitivity.cpp: schedulability of the
-  // closure gates the disparity query.  The engine's scoped RTA refresh
-  // replaces the free function's full re-analysis per probe.
+  // Schedulability of the closure gates the disparity query; only the
+  // analyzed task's ancestors need finite response times.  The engine's
+  // scoped RTA refresh re-runs just the perturbed cohort per probe.
   const auto bound_of = [&](Duration& out) {
     const RtaResult& rta = engine.rta();
     for (const TaskId anc : closure) {
@@ -235,66 +136,38 @@ std::vector<SensitivityEntry> disparity_sensitivity(
                "disparity_sensitivity: baseline system is unschedulable");
 
   std::vector<SensitivityEntry> entries;
+  // Probe one applied perturbation, then undo it (also on exceptions).
+  const auto probe = [&](TaskId anc, PerturbedParam param, const char* what,
+                         const auto& undo) {
+    SensitivityEntry e;
+    e.task = anc;
+    e.param = param;
+    e.baseline = baseline;
+    run_then_restore(
+        what, [&] { e.schedulable = bound_of(e.perturbed); }, undo);
+    if (!e.schedulable) e.perturbed = baseline;
+    entries.push_back(e);
+  };
   for (const TaskId anc : closure) {
-    // Period perturbation.
-    {
-      const Task& t = engine.graph().task(anc);
-      const Duration original = t.period;
-      const Duration new_period = scaled(original, opt.period_factor);
-      if (new_period > Duration::zero() && new_period > t.wcet &&
-          t.offset < new_period && t.jitter < new_period) {
-        engine.set_period(anc, new_period);
-        SensitivityEntry e;
-        e.task = anc;
-        e.param = PerturbedParam::kPeriod;
-        e.baseline = baseline;
-        try {
-          e.schedulable = bound_of(e.perturbed);
-        } catch (...) {
-          const std::exception_ptr failure = std::current_exception();
-          try {
-            engine.set_period(anc, original);
-          } catch (...) {
-            throw RollbackError(
-                "disparity_sensitivity: period restore failed: " +
-                exception_message(std::current_exception()) +
-                " (original error: " + exception_message(failure) + ")");
-          }
-          std::rethrow_exception(failure);
-        }
-        if (!e.schedulable) e.perturbed = baseline;
-        entries.push_back(e);
-        engine.set_period(anc, original);
-      }
+    // Period perturbation.  (A copy: the probes edit the engine's task.)
+    const Task t = engine.graph().task(anc);
+    const Duration old_period = t.period;
+    const Duration new_period = scaled(old_period, opt.period_factor);
+    if (new_period > Duration::zero() && new_period > t.wcet &&
+        t.offset < new_period && t.jitter < new_period) {
+      engine.set_period(anc, new_period);
+      probe(anc, PerturbedParam::kPeriod,
+            "disparity_sensitivity: period restore",
+            [&] { engine.set_period(anc, old_period); });
     }
     // WCET perturbation (sources have zero execution time — skip).
-    if (engine.graph().task(anc).wcet > Duration::zero()) {
-      const Task& t = engine.graph().task(anc);
+    if (t.wcet > Duration::zero()) {
       const Duration old_bcet = t.bcet;
       const Duration old_wcet = t.wcet;
       const Duration new_wcet = scaled(old_wcet, opt.wcet_factor);
       engine.set_wcet_range(anc, std::min(old_bcet, new_wcet), new_wcet);
-      SensitivityEntry e;
-      e.task = anc;
-      e.param = PerturbedParam::kWcet;
-      e.baseline = baseline;
-      try {
-        e.schedulable = bound_of(e.perturbed);
-      } catch (...) {
-        const std::exception_ptr failure = std::current_exception();
-        try {
-          engine.set_wcet_range(anc, old_bcet, old_wcet);
-        } catch (...) {
-          throw RollbackError(
-              "disparity_sensitivity: WCET restore failed: " +
-              exception_message(std::current_exception()) +
-              " (original error: " + exception_message(failure) + ")");
-        }
-        std::rethrow_exception(failure);
-      }
-      if (!e.schedulable) e.perturbed = baseline;
-      entries.push_back(e);
-      engine.set_wcet_range(anc, old_bcet, old_wcet);
+      probe(anc, PerturbedParam::kWcet, "disparity_sensitivity: WCET restore",
+            [&] { engine.set_wcet_range(anc, old_bcet, old_wcet); });
     }
   }
 
@@ -346,7 +219,7 @@ OffsetPlan plan_source_offsets(AnalysisEngine& engine, TaskId task,
     txn.commit();
   };
 
-  try {
+  const auto sweep = [&] {
     // Offset edits invalidate nothing (§9 row "offset"): the sweep pays
     // exactly the exact-oracle evaluations, no graph copies, no cache
     // churn.
@@ -383,24 +256,18 @@ OffsetPlan plan_source_offsets(AnalysisEngine& engine, TaskId task,
       }
       if (!improved) break;
     }
-  } catch (...) {
-    const std::exception_ptr original = std::current_exception();
-    try {
-      restore();
-    } catch (...) {
-      throw RollbackError(
-          "plan_source_offsets: offset restore failed: " +
-          exception_message(std::current_exception()) +
-          " (original error: " + exception_message(original) + ")");
+    for (const TaskId src : tunables) {
+      plan.offsets.push_back(OffsetAssignment{src, g.task(src).offset});
     }
-    std::rethrow_exception(original);
-  }
-
-  for (const TaskId src : tunables) {
-    plan.offsets.push_back(OffsetAssignment{src, g.task(src).offset});
-  }
-  restore();
+  };
+  run_then_restore("plan_source_offsets: offset restore", sweep, restore);
   return plan;
+}
+
+void apply_offset_plan(TaskGraph& g, const OffsetPlan& plan) {
+  for (const OffsetAssignment& a : plan.offsets) {
+    g.task(a.task).offset = a.offset;
+  }
 }
 
 }  // namespace ceta

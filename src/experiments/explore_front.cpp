@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "disparity/analyzer.hpp"
-#include "disparity/pareto.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/incremental.hpp"
 #include "explore/explorer.hpp"
@@ -68,8 +67,8 @@ std::vector<ExploreFrontPoint> run_explore_front(
     if (!rep.pairs.empty()) {
       const Path& lambda = rep.chains[rep.pairs.front().chain_a];
       const Path& nu = rep.chains[rep.pairs.front().chain_b];
-      const std::vector<ParetoPoint> curve = buffer_pareto(
-          engine.graph(), lambda, nu, engine.response_times());
+      const std::vector<ParetoPoint> curve =
+          buffer_pareto(engine, lambda, nu);
       p.baseline_points = curve.size();
       for (const ParetoPoint& c : curve) {
         if (c.bound < p.baseline_best) {

@@ -6,7 +6,7 @@
 // (explore/explorer.hpp) next to that baseline on the same instances: per
 // chain-length point it computes
 //
-//   * the single-axis memory/disparity curve (disparity/pareto.hpp:
+//   * the single-axis memory/disparity curve (engine/incremental.hpp:
 //     buffer_pareto on the worst pair, priorities and offsets fixed), and
 //   * the explorer's three-objective Pareto front co-optimizing
 //     priorities, offsets and *all* channel depths,

@@ -1,7 +1,12 @@
 #include "graph/serialize.hpp"
 
+#include <charconv>
+#include <functional>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <system_error>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -34,43 +39,88 @@ std::string to_text(const TaskGraph& g) {
   return os.str();
 }
 
+namespace {
+
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// Split one line into its whitespace-separated tokens (views into it).
+void split_tokens(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_blank(line[i])) ++i;
+    const std::size_t start = i;
+    while (i < line.size() && !is_blank(line[i])) ++i;
+    if (i > start) out.push_back(line.substr(start, i - start));
+  }
+}
+
+/// Parse a whole token as a decimal integer that fits T.
+template <typename T>
+bool parse_int(std::string_view tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 TaskGraph graph_from_text(const std::string& text) {
   TaskGraph g;
-  std::map<std::string, TaskId> by_name;
-  std::istringstream in(text);
-  std::string line;
+  std::map<std::string, TaskId, std::less<>> by_name;
+  std::vector<std::string_view> tok;
   int line_no = 0;
   auto fail = [&](const std::string& why) -> void {
     throw PreconditionError("graph_from_text: line " +
                             std::to_string(line_no) + ": " + why);
   };
-  while (std::getline(in, line)) {
+  auto quoted = [](std::string_view t) { return "'" + std::string(t) + "'"; };
+  // Any token after the directive's last field is an error.
+  auto expect_at_most = [&](std::size_t n) {
+    if (tok.size() > n) fail("unexpected trailing token " + quoted(tok[n]));
+  };
+  auto number = [&](std::string_view t, auto& out, const char* field) {
+    if (!parse_int(t, out)) fail(std::string("malformed ") + field + " " +
+                                 quoted(t));
+  };
+  std::string_view rest = text;
+  while (!rest.empty()) {
     ++line_no;
-    std::istringstream ls(line);
-    std::string kind;
-    if (!(ls >> kind) || kind[0] == '#') continue;
+    const std::size_t nl = rest.find('\n');
+    const std::string_view line = rest.substr(0, nl);
+    rest = nl == std::string_view::npos ? std::string_view{}
+                                        : rest.substr(nl + 1);
+    split_tokens(line, tok);
+    if (tok.empty() || tok[0][0] == '#') continue;
+    const std::string_view kind = tok[0];
     if (kind == "task") {
+      if (tok.size() < 8) fail("malformed task line");
       Task t;
+      t.name = std::string(tok[1]);
       std::int64_t wcet = 0, bcet = 0, period = 0, offset = 0;
-      if (!(ls >> t.name >> wcet >> bcet >> period >> offset >> t.priority >>
-            t.ecu)) {
-        fail("malformed task line");
-      }
+      number(tok[2], wcet, "wcet");
+      number(tok[3], bcet, "bcet");
+      number(tok[4], period, "period");
+      number(tok[5], offset, "offset");
+      number(tok[6], t.priority, "priority");
+      number(tok[7], t.ecu, "ecu");
       if (by_name.count(t.name) != 0) fail("duplicate task '" + t.name + "'");
-      std::string extra;
-      while (ls >> extra) {  // optional trailing attributes
+      for (std::size_t k = 8; k < tok.size(); ++k) {  // optional attributes
+        const std::string_view extra = tok[k];
         if (extra == "let") {
           t.comm = CommSemantics::kLet;
         } else if (extra == "implicit") {
           t.comm = CommSemantics::kImplicit;
-        } else if (extra.rfind("J=", 0) == 0) {
-          try {
-            t.jitter = Duration::ns(std::stoll(extra.substr(2)));
-          } catch (const std::exception&) {
-            fail("malformed jitter attribute '" + extra + "'");
+        } else if (extra.substr(0, 2) == "J=") {
+          std::int64_t jitter = 0;
+          if (!parse_int(extra.substr(2), jitter)) {
+            fail("malformed jitter attribute " + quoted(extra));
           }
+          t.jitter = Duration::ns(jitter);
         } else {
-          fail("unknown task attribute '" + extra + "'");
+          fail("unknown task attribute " + quoted(extra));
         }
       }
       t.wcet = Duration::ns(wcet);
@@ -82,21 +132,23 @@ TaskGraph graph_from_text(const std::string& text) {
       const std::string name = t.name;
       by_name[name] = g.add_task(std::move(t));
     } else if (kind == "edge") {
-      std::string from, to;
-      if (!(ls >> from >> to)) fail("malformed edge line");
+      if (tok.size() < 3) fail("malformed edge line");
+      expect_at_most(4);
       int buffer = 1;
-      ls >> buffer;  // optional
-      const auto fi = by_name.find(from);
-      const auto ti = by_name.find(to);
-      if (fi == by_name.end()) fail("unknown task '" + from + "'");
-      if (ti == by_name.end()) fail("unknown task '" + to + "'");
+      if (tok.size() == 4) number(tok[3], buffer, "buffer size");
+      const auto fi = by_name.find(tok[1]);
+      const auto ti = by_name.find(tok[2]);
+      if (fi == by_name.end()) fail("unknown task " + quoted(tok[1]));
+      if (ti == by_name.end()) fail("unknown task " + quoted(tok[2]));
       if (buffer < 1) fail("buffer size must be >= 1");
       g.add_edge(fi->second, ti->second, ChannelSpec{buffer});
     } else if (kind == "policy") {
+      if (tok.size() < 3) fail("malformed policy line");
+      expect_at_most(3);
       EcuId ecu = kNoEcu;
-      std::string pol;
-      if (!(ls >> ecu >> pol)) fail("malformed policy line");
+      number(tok[1], ecu, "policy ecu");
       if (ecu == kNoEcu) fail("policy: sources occupy no ECU");
+      const std::string_view pol = tok[2];
       if (pol == "nonpreemptive") {
         g.set_policy(ecu, SchedPolicy::kNonPreemptive);
       } else if (pol == "preemptive") {
@@ -104,10 +156,10 @@ TaskGraph graph_from_text(const std::string& text) {
       } else if (pol == "edf") {
         g.set_policy(ecu, SchedPolicy::kEdf);
       } else {
-        fail("unknown scheduling policy '" + pol + "'");
+        fail("unknown scheduling policy " + quoted(pol));
       }
     } else {
-      fail("unknown directive '" + kind + "'");
+      fail("unknown directive " + quoted(kind));
     }
   }
   return g;

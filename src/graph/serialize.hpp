@@ -6,8 +6,11 @@
 //   task <name> <wcet_ns> <bcet_ns> <period_ns> <offset_ns> <prio> <ecu>
 //        [implicit|let] [J=<jitter_ns>]   (same line, optional attributes)
 //   edge <from_name> <to_name> [buffer_size]
+//   policy <ecu> <nonpreemptive|preemptive|edf>
 //
 // Task ids are assigned in declaration order; edges refer to tasks by name.
+// Parsing is strict: every numeric field is a whole decimal integer token
+// that fits its type, and no directive takes tokens beyond its own.
 
 #pragma once
 
@@ -21,8 +24,9 @@ namespace ceta {
 /// Serialize to the text format above.
 std::string to_text(const TaskGraph& g);
 
-/// Parse the text format; throws PreconditionError with a line number on
-/// malformed input, unknown task names or duplicate definitions.
+/// Parse the text format; throws PreconditionError naming the line number
+/// and the offending token on malformed input (non-numeric or trailing
+/// tokens), unknown task names or duplicate definitions.
 TaskGraph graph_from_text(const std::string& text);
 
 }  // namespace ceta

@@ -15,6 +15,7 @@ TaskId TaskGraph::add_task(Task t) {
   if (t.name.empty()) t.name = "task" + std::to_string(id);
   tasks_.push_back(std::move(t));
   succ_.emplace_back();
+  succ_edge_.emplace_back();
   pred_.emplace_back();
   return id;
 }
@@ -25,6 +26,7 @@ void TaskGraph::add_edge(TaskId from, TaskId to, ChannelSpec spec) {
   CETA_EXPECTS(from != to, "add_edge: self loops are not allowed");
   CETA_EXPECTS(!has_edge(from, to), "add_edge: duplicate edge");
   CETA_EXPECTS(spec.buffer_size >= 1, "add_edge: buffer size must be >= 1");
+  succ_edge_[from].push_back(edges_.size());
   edges_.push_back(Edge{from, to, spec});
   succ_[from].push_back(to);
   pred_[to].push_back(from);
@@ -35,7 +37,15 @@ void TaskGraph::remove_edge(TaskId from, TaskId to) {
   CETA_EXPECTS(i != npos, "remove_edge: no such edge");
   edges_.erase(edges_.begin() + static_cast<std::ptrdiff_t>(i));
   auto& succ = succ_[from];
-  succ.erase(std::find(succ.begin(), succ.end(), to));
+  const auto k = std::find(succ.begin(), succ.end(), to) - succ.begin();
+  succ.erase(succ.begin() + k);
+  succ_edge_[from].erase(succ_edge_[from].begin() + k);
+  // Every edge stored after the removed one moved down one slot.
+  for (std::vector<std::size_t>& ids : succ_edge_) {
+    for (std::size_t& id : ids) {
+      if (id > i) --id;
+    }
+  }
   auto& pred = pred_[to];
   pred.erase(std::find(pred.begin(), pred.end(), from));
 }
@@ -61,8 +71,10 @@ const std::vector<TaskId>& TaskGraph::predecessors(TaskId id) const {
 }
 
 std::size_t TaskGraph::edge_index(TaskId from, TaskId to) const {
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].from == from && edges_[i].to == to) return i;
+  if (from >= succ_.size()) return npos;
+  const std::vector<TaskId>& succ = succ_[from];
+  for (std::size_t k = 0; k < succ.size(); ++k) {
+    if (succ[k] == to) return succ_edge_[from][k];
   }
   return npos;
 }

@@ -62,6 +62,8 @@ class TaskGraph {
   const std::vector<TaskId>& successors(TaskId id) const;
   const std::vector<TaskId>& predecessors(TaskId id) const;
 
+  /// Edge lookups (has_edge, channel, set_buffer_size) cost
+  /// O(out-degree of `from`).
   bool has_edge(TaskId from, TaskId to) const;
 
   /// Channel spec of an existing edge; throws if the edge does not exist.
@@ -123,6 +125,9 @@ class TaskGraph {
   /// kNonPreemptive.
   std::vector<std::pair<EcuId, SchedPolicy>> policies_;
   std::vector<std::vector<TaskId>> succ_;
+  /// edges_ index of each succ_ entry (same position), so an edge lookup
+  /// scans the producer's successors instead of every edge.
+  std::vector<std::vector<std::size_t>> succ_edge_;
   std::vector<std::vector<TaskId>> pred_;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };

@@ -15,7 +15,6 @@
 #include "disparity/dag_dp.hpp"
 #include "disparity/exact.hpp"
 #include "disparity/forkjoin.hpp"
-#include "disparity/multi_buffer.hpp"
 #include "disparity/pair_kernel.hpp"
 #include "disparity/pairwise.hpp"
 #include "engine/analysis_engine.hpp"
@@ -242,15 +241,25 @@ PropertyOutcome check_engine_matches_free(const Inputs& in) {
     all_heads_plain = all_heads_plain && head_channel_unbuffered(in.g, c);
   }
   if (all_heads_plain) {
+    // The design's two bounds must be what the analyzer computes on the
+    // unbuffered graph and on a copy carrying the designed buffers.
     const DisparityOptions dopt =
         disparity_options(in, DisparityMethod::kForkJoin);
     const MultiBufferDesign me = engine.optimize_buffers(in.task, dopt);
-    const MultiBufferDesign mf =
-        design_buffers_for_task(in.g, in.task, in.rtm, dopt);
-    if (me.baseline_bound != mf.baseline_bound ||
-        me.optimized_bound != mf.optimized_bound ||
-        me.channels.size() != mf.channels.size()) {
-      return violated("engine optimize_buffers != design_buffers_for_task");
+    const Duration base =
+        analyze_time_disparity(in.g, in.task, in.rtm, dopt).worst_case;
+    TaskGraph buffered = in.g;
+    apply_multi_buffer_design(buffered, me);
+    const Duration opt =
+        me.channels.empty()
+            ? base
+            : analyze_time_disparity(buffered, in.task, in.rtm, dopt)
+                  .worst_case;
+    if (me.baseline_bound != base || me.optimized_bound != opt) {
+      return violated("engine optimize_buffers bounds [" +
+                      dur(me.baseline_bound) + " -> " +
+                      dur(me.optimized_bound) + "] != analyzer [" +
+                      dur(base) + " -> " + dur(opt) + "]");
     }
   }
   return holds();
@@ -523,7 +532,7 @@ PropertyOutcome check_multi_buffer_safe(const Inputs& in) {
   const DisparityOptions dopt =
       disparity_options(in, DisparityMethod::kForkJoin);
   const MultiBufferDesign md =
-      design_buffers_for_task(in.g, in.task, in.rtm, dopt);
+      AnalysisEngine(in.g, in.rtm).optimize_buffers(in.task, dopt);
   if (md.optimized_bound > md.baseline_bound) {
     return violated("multi-buffer design raises the bound: " +
                     dur(md.optimized_bound) + " > " + dur(md.baseline_bound));

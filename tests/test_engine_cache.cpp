@@ -1,7 +1,8 @@
-// AnalysisEngine cache correctness: every engine method must return
-// byte-identical results to the corresponding free function, warm-cache
-// calls must equal fresh-engine calls, and the engine's owned graph copy
-// must insulate results from caller-side mutation.
+// AnalysisEngine cache correctness: every engine analysis must return
+// byte-identical results to the corresponding free function (the buffer
+// design must equal the analyzer on the buffered graph), warm-cache calls
+// must equal fresh-engine calls, and the engine's owned graph copy must
+// insulate results from caller-side mutation.
 
 #include "engine/analysis_engine.hpp"
 
@@ -12,7 +13,6 @@
 #include "chain/latency.hpp"
 #include "common/error.hpp"
 #include "disparity/buffer_opt.hpp"
-#include "disparity/multi_buffer.hpp"
 #include "helpers.hpp"
 
 namespace ceta {
@@ -60,7 +60,7 @@ TEST(EngineCache, RtaMatchesFreeFunction) {
   // Arbitrarily many accesses run the fixpoint exactly once.
   (void)engine.rta();
   (void)engine.response_times();
-  EXPECT_EQ(engine.cache_stats().rta_runs, 1u);
+  EXPECT_EQ(engine.metrics().counter("engine.rta.runs"), 1u);
 }
 
 TEST(EngineCache, HopAndChainBoundsMatchFreeFunctions) {
@@ -86,9 +86,11 @@ TEST(EngineCache, HopAndChainBoundsMatchFreeFunctions) {
       }
     }
   }
-  const EngineCacheStats stats = engine.cache_stats();
-  EXPECT_GT(stats.chain_bound_hits, 0u);
-  EXPECT_GT(stats.hop_hits + stats.hop_misses, 0u);
+  const obs::MetricsSnapshot stats = engine.metrics();
+  EXPECT_GT(stats.counter("engine.chain_bounds.hits"), 0u);
+  EXPECT_GT(
+      stats.counter("engine.hop.hits") + stats.counter("engine.hop.misses"),
+      0u);
 }
 
 TEST(EngineCache, DisparityMatchesFreeFunctionAcrossOptionMatrix) {
@@ -105,7 +107,7 @@ TEST(EngineCache, DisparityMatchesFreeFunctionAcrossOptionMatrix) {
         expect_reports_equal(engine.disparity(task, opt), expected);
       }
     }
-    EXPECT_GT(engine.cache_stats().report_hits, 0u);
+    EXPECT_GT(engine.metrics().counter("engine.reports.hits"), 0u);
   }
 }
 
@@ -163,17 +165,19 @@ TEST(EngineCache, BufferOptimizationMatchesFreeFunctions) {
   EXPECT_EQ(got_pair.baseline_bound, expected_pair.baseline_bound);
   EXPECT_EQ(got_pair.optimized_bound, expected_pair.optimized_bound);
 
-  const MultiBufferDesign expected_multi =
-      design_buffers_for_task(g, sink, rtm);
-  const MultiBufferDesign got_multi = engine.optimize_buffers(sink);
-  EXPECT_EQ(got_multi.baseline_bound, expected_multi.baseline_bound);
-  EXPECT_EQ(got_multi.optimized_bound, expected_multi.optimized_bound);
-  ASSERT_EQ(got_multi.channels.size(), expected_multi.channels.size());
-  for (std::size_t i = 0; i < got_multi.channels.size(); ++i) {
-    EXPECT_EQ(got_multi.channels[i].from, expected_multi.channels[i].from);
-    EXPECT_EQ(got_multi.channels[i].to, expected_multi.channels[i].to);
-    EXPECT_EQ(got_multi.channels[i].buffer_size,
-              expected_multi.channels[i].buffer_size);
+  // The multi-chain design is checked against the analyzer: its baseline
+  // on the graph, its optimized bound on a copy with the design applied.
+  for (const TaskGraph& mg : {g, random_dag_graph(12, 3, /*seed=*/7)}) {
+    const AnalysisEngine me(mg);
+    const TaskId t = mg.sinks().front();
+    const MultiBufferDesign d = me.optimize_buffers(t);
+    const ResponseTimeMap mrtm = response_times_of(mg);
+    EXPECT_EQ(d.baseline_bound,
+              analyze_time_disparity(mg, t, mrtm).worst_case);
+    TaskGraph buffered = mg;
+    apply_multi_buffer_design(buffered, d);
+    EXPECT_EQ(d.optimized_bound,
+              analyze_time_disparity(buffered, t, mrtm).worst_case);
   }
 }
 
@@ -208,7 +212,7 @@ TEST(EngineCache, ExternalResponseTimeMode) {
   EXPECT_TRUE(engine.schedulable());
   // No engine-owned RtaResult in this mode.
   EXPECT_THROW((void)engine.rta(), PreconditionError);
-  EXPECT_EQ(engine.cache_stats().rta_runs, 0u);
+  EXPECT_EQ(engine.metrics().counter("engine.rta.runs"), 0u);
 
   // Analyses agree with the free functions on the adopted map.
   const TaskId sink = g.sinks().front();
@@ -243,56 +247,43 @@ TEST(EngineCache, ChainSetReferenceIsStableAndCapIsHonored) {
                PreconditionError);
 }
 
-TEST(EngineCache, CacheStatsIsAShimOverMetrics) {
-  // cache_stats() is a compatibility view of the engine's metrics registry:
-  // every field must be byte-identical to the corresponding counter, at
-  // every point in a session.
+TEST(EngineCache, MetricsCountEachDisparityCallOnce) {
+  // The cache counters of metrics() follow the once-per-logical-lookup
+  // contract at every point in a session.
   const TaskGraph g = random_dag_graph(14, 3, /*seed=*/17);
   const AnalysisEngine engine(g);
 
-  const auto expect_shim_matches = [&engine]() {
-    const EngineCacheStats stats = engine.cache_stats();
+  const auto expect_reports = [&engine](std::uint64_t misses,
+                                        std::uint64_t hits) {
     const obs::MetricsSnapshot m = engine.metrics();
-    EXPECT_EQ(stats.rta_runs, m.counter("engine.rta.runs"));
-    EXPECT_EQ(stats.hop_hits, m.counter("engine.hop.hits"));
-    EXPECT_EQ(stats.hop_misses, m.counter("engine.hop.misses"));
-    EXPECT_EQ(stats.chain_bound_hits, m.counter("engine.chain_bounds.hits"));
-    EXPECT_EQ(stats.chain_bound_misses,
-              m.counter("engine.chain_bounds.misses"));
-    EXPECT_EQ(stats.chain_set_hits, m.counter("engine.chain_sets.hits"));
-    EXPECT_EQ(stats.chain_set_misses, m.counter("engine.chain_sets.misses"));
-    EXPECT_EQ(stats.report_hits, m.counter("engine.reports.hits"));
-    EXPECT_EQ(stats.report_misses, m.counter("engine.reports.misses"));
+    EXPECT_EQ(m.counter("engine.reports.misses"), misses);
+    EXPECT_EQ(m.counter("engine.reports.hits"), hits);
   };
 
-  expect_shim_matches();  // all zero before any analysis
+  expect_reports(0, 0);  // all zero before any analysis
   const std::vector<TaskId> fusing = engine.fusing_tasks();
   ASSERT_FALSE(fusing.empty());
   for (const TaskId t : fusing) (void)engine.disparity(t);
-  expect_shim_matches();  // cold pass: misses
+  expect_reports(fusing.size(), 0);  // cold pass: misses
   for (const TaskId t : fusing) (void)engine.disparity(t);
-  expect_shim_matches();  // warm pass: hits
+  expect_reports(fusing.size(), fusing.size());  // warm pass: hits
 
-  // Sanity on the values themselves: one RTA run, some activity on every
-  // cache layer, and compute-time histograms populated by the misses.
-  const EngineCacheStats stats = engine.cache_stats();
-  EXPECT_EQ(stats.rta_runs, 1u);
-  EXPECT_GT(stats.report_misses, 0u);
-  EXPECT_GT(stats.report_hits, 0u);
+  // One RTA run, and compute-time histograms populated by the misses.
+  const obs::MetricsSnapshot stats = engine.metrics();
+  EXPECT_EQ(stats.counter("engine.rta.runs"), 1u);
   // disparity() counts one report lookup per call; its internal chain-bound
   // and hop reads are uncounted feeder traffic (DESIGN.md §9, "counting
   // contract"), so those counters stay zero under disparity-only load.
-  EXPECT_EQ(stats.chain_bound_misses, 0u);
-  EXPECT_EQ(stats.chain_bound_hits, 0u);
-  EXPECT_EQ(stats.hop_misses, 0u);
-  EXPECT_EQ(stats.hop_hits, 0u);
-  const obs::MetricsSnapshot m = engine.metrics();
-  for (const auto& [name, hist] : m.histograms) {
+  EXPECT_EQ(stats.counter("engine.chain_bounds.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_bounds.hits"), 0u);
+  EXPECT_EQ(stats.counter("engine.hop.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.hop.hits"), 0u);
+  for (const auto& [name, hist] : stats.histograms) {
     if (name == "engine.rta.compute") {
       EXPECT_EQ(hist.count, 1u);
     }
     if (name == "engine.disparity.compute") {
-      EXPECT_EQ(hist.count, stats.report_misses);
+      EXPECT_EQ(hist.count, stats.counter("engine.reports.misses"));
     }
   }
 }

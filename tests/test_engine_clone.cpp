@@ -70,19 +70,24 @@ TEST(EngineClone, QueriesBitIdenticalAndCachesWarm) {
   const QueryDigest before = QueryDigest::of(parent, sink);
 
   const std::unique_ptr<AnalysisEngine> clone = parent.clone();
-  const EngineCacheStats at_birth = clone->cache_stats();
+  const obs::MetricsSnapshot at_birth = clone->metrics();
   const QueryDigest cloned = QueryDigest::of(*clone, sink);
   expect_equal(before, cloned);
 
   // The copied caches must serve the clone's first queries: zero fresh RTA
   // runs, at least one report/chain-set hit, and not a single miss beyond
   // what the parent had already paid.
-  const EngineCacheStats warmed = clone->cache_stats();
-  EXPECT_EQ(warmed.rta_runs, at_birth.rta_runs);
-  EXPECT_GT(warmed.report_hits, at_birth.report_hits);
-  EXPECT_GT(warmed.chain_set_hits, at_birth.chain_set_hits);
-  EXPECT_EQ(warmed.report_misses, at_birth.report_misses);
-  EXPECT_EQ(warmed.chain_set_misses, at_birth.chain_set_misses);
+  const obs::MetricsSnapshot warmed = clone->metrics();
+  EXPECT_EQ(warmed.counter("engine.rta.runs"),
+            at_birth.counter("engine.rta.runs"));
+  EXPECT_GT(warmed.counter("engine.reports.hits"),
+            at_birth.counter("engine.reports.hits"));
+  EXPECT_GT(warmed.counter("engine.chain_sets.hits"),
+            at_birth.counter("engine.chain_sets.hits"));
+  EXPECT_EQ(warmed.counter("engine.reports.misses"),
+            at_birth.counter("engine.reports.misses"));
+  EXPECT_EQ(warmed.counter("engine.chain_sets.misses"),
+            at_birth.counter("engine.chain_sets.misses"));
 }
 
 TEST(EngineClone, MetricsRegistryStartsFresh) {
@@ -121,12 +126,14 @@ TEST(EngineClone, CloneMutationsNeverTouchTheParent) {
 
   // Parent queries after the clone's commit: all hits (nothing was
   // invalidated), same values as before the clone existed.
-  const EngineCacheStats pre = parent.cache_stats();
+  const obs::MetricsSnapshot pre = parent.metrics();
   const QueryDigest after = QueryDigest::of(parent, sink);
   expect_equal(before, after);
-  const EngineCacheStats post = parent.cache_stats();
-  EXPECT_EQ(post.report_misses, pre.report_misses);
-  EXPECT_EQ(post.report_stale, pre.report_stale);
+  const obs::MetricsSnapshot post = parent.metrics();
+  EXPECT_EQ(post.counter("engine.reports.misses"),
+            pre.counter("engine.reports.misses"));
+  EXPECT_EQ(post.counter("engine.reports.stale"),
+            pre.counter("engine.reports.stale"));
 
   // And the mutated clone matches a fresh engine over its mutated graph.
   AnalysisEngine fresh(clone->graph());
@@ -147,12 +154,14 @@ TEST(EngineClone, ParentMutationsNeverTouchTheClone) {
     txn.set_buffer(e.from, e.to, 3);
     txn.commit();
   }
-  const EngineCacheStats pre = clone->cache_stats();
+  const obs::MetricsSnapshot pre = clone->metrics();
   const QueryDigest after = QueryDigest::of(*clone, sink);
   expect_equal(before, after);
-  const EngineCacheStats post = clone->cache_stats();
-  EXPECT_EQ(post.report_stale, pre.report_stale);
-  EXPECT_EQ(post.chain_set_stale, pre.chain_set_stale);
+  const obs::MetricsSnapshot post = clone->metrics();
+  EXPECT_EQ(post.counter("engine.reports.stale"),
+            pre.counter("engine.reports.stale"));
+  EXPECT_EQ(post.counter("engine.chain_sets.stale"),
+            pre.counter("engine.chain_sets.stale"));
 }
 
 TEST(EngineClone, ExternalRtmModeClones) {

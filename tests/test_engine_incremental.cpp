@@ -7,23 +7,24 @@
 //     "invalidated" must show up as stale evictions.
 //  2. A 100-seed random-edit sweep checks that a mutated engine stays
 //     field-identical to a freshly constructed engine after every edit.
-//  3. The engine overloads of the design-space loops (multi-buffer,
-//     Pareto, sensitivity, offset synthesis) must be bit-identical to
-//     their free-function forms and restore the engine's graph.
+//  3. The design-space loops (multi-buffer design, Pareto, sensitivity,
+//     offset synthesis) must agree with the analyzers run on an explicitly
+//     edited copy of the graph, and restore the engine's graph.
 
 #include "engine/incremental.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
+
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "disparity/multi_buffer.hpp"
-#include "disparity/offset_opt.hpp"
-#include "disparity/pareto.hpp"
-#include "disparity/sensitivity.hpp"
+#include "disparity/exact.hpp"
 #include "engine/analysis_engine.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/paths.hpp"
 #include "helpers.hpp"
 #include "verify/property_checker.hpp"
@@ -151,36 +152,45 @@ TEST(EngineIncremental, BufferResizeInvalidatesOnlyTraversingChains) {
   const Path chain_a = chain_with_front(chains, 0);  // s1 -> a1 -> a2 -> f
   const Path chain_b = chain_with_front(chains, 1);  // s2 -> b1 -> b2 -> f
 
-  const EngineCacheStats before = e.cache_stats();
+  const obs::MetricsSnapshot before = e.metrics();
   e.set_buffer(chain_a[0], chain_a[1], 3);
 
   // §9 row "buffer", column RTA: kept — no refresh, no rerun.
   (void)e.response_times();
-  EXPECT_EQ(e.cache_stats().rta_runs, 1u);
-  EXPECT_EQ(e.cache_stats().rta_refreshed_tasks, 0u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.runs"), 1u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 0u);
 
   // Column chain sets: kept (the enumeration ignores channel depths).
   (void)e.chains(f);
-  EXPECT_EQ(e.cache_stats().chain_set_stale, before.chain_set_stale);
-  EXPECT_EQ(e.cache_stats().chain_set_hits, before.chain_set_hits + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
+            before.counter("engine.chain_sets.stale"));
+  EXPECT_EQ(e.metrics().counter("engine.chain_sets.hits"),
+            before.counter("engine.chain_sets.hits") + 1);
 
   // Column WCBT/BCBT: invalidated for the traversing chain only.  The
   // b-chain entry predates the commit and must be served as a survivor.
   const BackwardBounds bb = e.chain_bounds(chain_b);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale);
-  EXPECT_EQ(e.cache_stats().chain_bound_hits, before.chain_bound_hits + 1);
-  EXPECT_GT(e.cache_stats().survived_hits, before.survived_hits);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale"));
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.hits"),
+            before.counter("engine.chain_bounds.hits") + 1);
+  EXPECT_GT(e.metrics().counter("engine.cache.survived_hits"),
+            before.counter("engine.cache.survived_hits"));
   (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale") + 1);
 
   // Column hop bounds: kept — θ does not read channel depths.
   for (const Edge& edge : e.graph().edges()) (void)e.hop(edge.from, edge.to);
-  EXPECT_EQ(e.cache_stats().hop_stale, before.hop_stale);
-  EXPECT_EQ(e.cache_stats().hop_misses, before.hop_misses);
+  EXPECT_EQ(e.metrics().counter("engine.hop.stale"),
+            before.counter("engine.hop.stale"));
+  EXPECT_EQ(e.metrics().counter("engine.hop.misses"),
+            before.counter("engine.hop.misses"));
 
   // Column disparity reports: invalidated downstream of the edge.
   (void)e.disparity(f);
-  EXPECT_EQ(e.cache_stats().report_stale, before.report_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.reports.stale"),
+            before.counter("engine.reports.stale") + 1);
 
   // The recomputed values equal a fresh engine's, and the resize is the
   // Lemma 6 shift: the buffered chain's WCBT moved, the other did not.
@@ -199,26 +209,30 @@ TEST(EngineIncremental, WcetEditInvalidatesEcuCohortOnly) {
   const Path chain_b = chain_with_front(chains, 1);
   const TaskId a1 = chain_a[1];
 
-  const EngineCacheStats before = e.cache_stats();
+  const obs::MetricsSnapshot before = e.metrics();
   e.set_wcet_range(a1, Duration::us(200), Duration::us(500));
 
   // §9 row "WCET", column RTA: scoped refresh of a1's ECU cohort {a1, a2}
   // only — not a full rerun, and the b-side/f entries are untouched.
   (void)e.response_times();
-  EXPECT_EQ(e.cache_stats().rta_runs, 1u);
-  EXPECT_EQ(e.cache_stats().rta_refreshed_tasks, 2u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.runs"), 1u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 2u);
 
   // Column WCBT/BCBT: the cohort-free b-chain survives; the a-chain is
   // stale (its member epochs moved with the cohort).
   (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale);
-  EXPECT_EQ(e.cache_stats().chain_bound_hits, before.chain_bound_hits + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale"));
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.hits"),
+            before.counter("engine.chain_bounds.hits") + 1);
   (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale") + 1);
 
   // Column chain sets: kept — WCET edits cannot change the topology.
   (void)e.chains(f);
-  EXPECT_EQ(e.cache_stats().chain_set_stale, before.chain_set_stale);
+  EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
+            before.counter("engine.chain_sets.stale"));
 
   expect_matches_fresh(e, f);
 }
@@ -232,18 +246,21 @@ TEST(EngineIncremental, PeriodEditAlsoInvalidatesChainSets) {
   const Path chain_a = chain_with_front(chains, 0);
   const Path chain_b = chain_with_front(chains, 1);
 
-  const EngineCacheStats before = e.cache_stats();
+  const obs::MetricsSnapshot before = e.metrics();
   e.set_period(chain_a.front(), Duration::ms(20));  // s1: 10ms -> 20ms
 
   // §9 row "period": chain sets downstream of the task are invalidated
   // (period changes can alter enumeration pruning in general), bounds of
   // chains through the task are stale, everything else survives.
   (void)e.chains(f);
-  EXPECT_EQ(e.cache_stats().chain_set_stale, before.chain_set_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
+            before.counter("engine.chain_sets.stale") + 1);
   (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale"));
   (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale") + 1);
 
   expect_matches_fresh(e, f);
 }
@@ -257,7 +274,7 @@ TEST(EngineIncremental, PolicyEditInvalidatesEcuCohortOnly) {
   const Path chain_a = chain_with_front(chains, 0);  // s1 -> a1 -> a2 -> f
   const Path chain_b = chain_with_front(chains, 1);  // s2 -> b1 -> b2 -> f
 
-  const EngineCacheStats before = e.cache_stats();
+  const obs::MetricsSnapshot before = e.metrics();
   e.set_policy(0, SchedPolicy::kPreemptive);  // flips a1/a2's ECU only
   EXPECT_EQ(e.graph().policy(0), SchedPolicy::kPreemptive);
   EXPECT_EQ(e.graph().policy(1), SchedPolicy::kNonPreemptive);
@@ -265,15 +282,18 @@ TEST(EngineIncremental, PolicyEditInvalidatesEcuCohortOnly) {
   // §9 row "policy", column RTA: scoped refresh of the ECU's cohort
   // {a1, a2} only — not a full rerun; b-side and f entries untouched.
   (void)e.response_times();
-  EXPECT_EQ(e.cache_stats().rta_runs, 1u);
-  EXPECT_EQ(e.cache_stats().rta_refreshed_tasks, 2u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.runs"), 1u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 2u);
 
   // Column WCBT/BCBT: the other ECU's chain survives as a pure hit; the
   // a-chain is stale (its members' epochs moved with the cohort).
   (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale);
-  EXPECT_EQ(e.cache_stats().chain_bound_hits, before.chain_bound_hits + 1);
-  EXPECT_GT(e.cache_stats().survived_hits, before.survived_hits);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale"));
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.hits"),
+            before.counter("engine.chain_bounds.hits") + 1);
+  EXPECT_GT(e.metrics().counter("engine.cache.survived_hits"),
+            before.counter("engine.cache.survived_hits"));
 
   // Column hop bounds: exactly the hops touching a cohort member re-derive
   // (the Lemma 4 refinements are routed by the policy); the three b-side
@@ -281,22 +301,25 @@ TEST(EngineIncremental, PolicyEditInvalidatesEcuCohortOnly) {
   // which consumes the stale entries itself.
   std::size_t hop_stale = 0;
   for (const Edge& edge : e.graph().edges()) {
-    const std::size_t s0 = e.cache_stats().hop_stale;
+    const std::size_t s0 = e.metrics().counter("engine.hop.stale");
     (void)e.hop(edge.from, edge.to);
-    hop_stale += e.cache_stats().hop_stale - s0;
+    hop_stale += e.metrics().counter("engine.hop.stale") - s0;
   }
   EXPECT_EQ(hop_stale, 3u);  // s1->a1, a1->a2, a2->f
 
   (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale") + 1);
 
   // Column chain sets: kept — dispatching cannot change the topology.
   (void)e.chains(f);
-  EXPECT_EQ(e.cache_stats().chain_set_stale, before.chain_set_stale);
+  EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
+            before.counter("engine.chain_sets.stale"));
 
   // Column disparity reports: invalidated downstream of the cohort.
   (void)e.disparity(f);
-  EXPECT_EQ(e.cache_stats().report_stale, before.report_stale + 1);
+  EXPECT_EQ(e.metrics().counter("engine.reports.stale"),
+            before.counter("engine.reports.stale") + 1);
 
   expect_matches_fresh(e, f);
 }
@@ -334,19 +357,25 @@ TEST(EngineIncremental, OffsetEditInvalidatesNothing) {
   const TaskId f = g.sinks().front();
   warm(e, f);
 
-  const EngineCacheStats before = e.cache_stats();
+  const obs::MetricsSnapshot before = e.metrics();
   e.set_offset(0, Duration::ms(5));
 
   // §9 row "offset": every column kept — offsets feed only the exact LET
   // oracle and the simulator, neither of which the engine caches.
   warm(e, f);
-  const EngineCacheStats after = e.cache_stats();
-  EXPECT_EQ(after.mutation_commits, before.mutation_commits + 1);
-  EXPECT_EQ(after.hop_stale, before.hop_stale);
-  EXPECT_EQ(after.chain_bound_stale, before.chain_bound_stale);
-  EXPECT_EQ(after.chain_set_stale, before.chain_set_stale);
-  EXPECT_EQ(after.report_stale, before.report_stale);
-  EXPECT_EQ(after.rta_refreshed_tasks, before.rta_refreshed_tasks);
+  const obs::MetricsSnapshot after = e.metrics();
+  EXPECT_EQ(after.counter("engine.mutate.commits"),
+            before.counter("engine.mutate.commits") + 1);
+  EXPECT_EQ(after.counter("engine.hop.stale"),
+            before.counter("engine.hop.stale"));
+  EXPECT_EQ(after.counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale"));
+  EXPECT_EQ(after.counter("engine.chain_sets.stale"),
+            before.counter("engine.chain_sets.stale"));
+  EXPECT_EQ(after.counter("engine.reports.stale"),
+            before.counter("engine.reports.stale"));
+  EXPECT_EQ(after.counter("engine.rta.refreshed_tasks"),
+            before.counter("engine.rta.refreshed_tasks"));
   EXPECT_EQ(e.graph().task(0).offset, Duration::ms(5));
   expect_matches_fresh(e, f);
 }
@@ -361,13 +390,14 @@ TEST(EngineIncremental, EdgeEditsRebuildScopedRegion) {
 
   // §9 row "add edge": chain sets + reports downstream of `to` rebuild;
   // RTA and existing bounds survive (the new edge is in no cached chain).
-  const EngineCacheStats before = e.cache_stats();
+  const obs::MetricsSnapshot before = e.metrics();
   e.add_edge(0, f);  // new chain s1 -> f
   EXPECT_EQ(e.chains(f), enumerate_source_chains(e.graph(), f));
   EXPECT_EQ(e.chains(f).size(), 3u);
-  EXPECT_EQ(e.cache_stats().rta_refreshed_tasks, 0u);
+  EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 0u);
   (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.cache_stats().chain_bound_stale, before.chain_bound_stale);
+  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
+            before.counter("engine.chain_bounds.stale"));
   expect_matches_fresh(e, f);
 
   // §9 row "remove edge": the closure is taken on the *pre-commit* graph
@@ -429,68 +459,11 @@ TEST(EngineIncremental, RandomEditSweepMatchesFreshOver100Seeds) {
   }
 }
 
-// ---- engine ports of the design-space loops --------------------------------
+// ---- design-space loops vs the analyzers on edited copies -----------------
 
-TEST(EngineIncremental, MultiBufferPortMatchesFreeFunction) {
-  const TaskGraph g = diamond_graph();
-  const ResponseTimeMap rtm = response_times_of(g);
-  const TaskId sink = g.sinks().front();
-  AnalysisEngine e{TaskGraph{g}};
-
-  const MultiBufferDesign free = design_buffers_for_task(g, sink, rtm);
-  const MultiBufferDesign port = design_buffers_for_task(e, sink);
-  EXPECT_EQ(port.baseline_bound, free.baseline_bound);
-  EXPECT_EQ(port.optimized_bound, free.optimized_bound);
-  ASSERT_EQ(port.channels.size(), free.channels.size());
-  for (std::size_t i = 0; i < port.channels.size(); ++i) {
-    EXPECT_EQ(port.channels[i].from, free.channels[i].from);
-    EXPECT_EQ(port.channels[i].to, free.channels[i].to);
-    EXPECT_EQ(port.channels[i].buffer_size, free.channels[i].buffer_size);
-    EXPECT_EQ(port.channels[i].shift, free.channels[i].shift);
-  }
-  expect_graphs_equal(e.graph(), g);  // restore-on-return contract
-}
-
-TEST(EngineIncremental, ParetoPortMatchesFreeFunction) {
-  const TaskGraph g = diamond_graph();
-  const ResponseTimeMap rtm = response_times_of(g);
-  const TaskId sink = g.sinks().front();
-  const std::vector<Path> chains = enumerate_source_chains(g, sink);
-  ASSERT_GE(chains.size(), 2u);
-  AnalysisEngine e{TaskGraph{g}};
-
-  const std::vector<ParetoPoint> free =
-      buffer_pareto(g, chains[0], chains[1], rtm);
-  const std::vector<ParetoPoint> port = buffer_pareto(e, chains[0], chains[1]);
-  ASSERT_EQ(port.size(), free.size());
-  for (std::size_t i = 0; i < port.size(); ++i) {
-    EXPECT_EQ(port[i].buffer_size, free[i].buffer_size);
-    EXPECT_EQ(port[i].shift, free[i].shift);
-    EXPECT_EQ(port[i].bound, free[i].bound);
-  }
-  expect_graphs_equal(e.graph(), g);
-}
-
-TEST(EngineIncremental, SensitivityPortMatchesFreeFunction) {
-  const TaskGraph g = random_dag_graph(10, 3, /*seed=*/5);
-  const TaskId sink = g.sinks().front();
-  AnalysisEngine e{TaskGraph{g}};
-
-  const std::vector<SensitivityEntry> free = disparity_sensitivity(g, sink);
-  const std::vector<SensitivityEntry> port = disparity_sensitivity(e, sink);
-  ASSERT_EQ(port.size(), free.size());
-  for (std::size_t i = 0; i < port.size(); ++i) {
-    EXPECT_EQ(port[i].task, free[i].task);
-    EXPECT_EQ(port[i].param, free[i].param);
-    EXPECT_EQ(port[i].baseline, free[i].baseline);
-    EXPECT_EQ(port[i].perturbed, free[i].perturbed);
-    EXPECT_EQ(port[i].schedulable, free[i].schedulable);
-  }
-  expect_graphs_equal(e.graph(), g);
-}
-
-TEST(EngineIncremental, OffsetPlanPortMatchesFreeFunction) {
-  // The hand-computed LET fixture of test_offset_opt (misaligned sources).
+/// The misaligned LET fixture of test_offset_opt.cpp: sink 4, every
+/// closure task offset-tunable.
+TaskGraph misaligned_let() {
   TaskGraph g;
   Task s1;
   s1.name = "S1";
@@ -519,18 +492,167 @@ TEST(EngineIncremental, OffsetPlanPortMatchesFreeFunction) {
   g.add_edge(a, f);
   g.add_edge(b, f);
   g.validate();
+  return g;
+}
 
-  AnalysisEngine e{TaskGraph{g}};
-  const OffsetPlan free = plan_source_offsets(g, f);
-  const OffsetPlan port = plan_source_offsets(e, f);
-  EXPECT_EQ(port.baseline, free.baseline);
-  EXPECT_EQ(port.optimized, free.optimized);
-  EXPECT_EQ(port.evaluations, free.evaluations);
-  ASSERT_EQ(port.offsets.size(), free.offsets.size());
-  for (std::size_t i = 0; i < port.offsets.size(); ++i) {
-    EXPECT_EQ(port.offsets[i].task, free.offsets[i].task);
-    EXPECT_EQ(port.offsets[i].offset, free.offsets[i].offset);
+TEST(EngineIncremental, MultiBufferDesignMatchesAnalyzerOnEditedCopy) {
+  int designs_with_channels = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const TaskGraph g = ceta::testing::random_two_chain_graph(5, 2, seed);
+    const ResponseTimeMap rtm = response_times_of(g);
+    const TaskId sink = g.sinks().front();
+    const AnalysisEngine e{TaskGraph{g}};
+    const MultiBufferDesign d = e.optimize_buffers(sink);
+
+    EXPECT_EQ(d.baseline_bound, analyze_time_disparity(g, sink, rtm).worst_case)
+        << "seed " << seed;
+    TaskGraph buffered = g;
+    for (const ChannelBuffer& cb : d.channels) {
+      EXPECT_GT(cb.buffer_size, 1);
+      EXPECT_EQ(cb.shift, g.task(cb.from).period * (cb.buffer_size - 1));
+      buffered.set_buffer_size(cb.from, cb.to, cb.buffer_size);
+    }
+    EXPECT_EQ(d.optimized_bound,
+              analyze_time_disparity(buffered, sink, rtm).worst_case)
+        << "seed " << seed;
+    if (!d.channels.empty()) {
+      ++designs_with_channels;
+      EXPECT_LT(d.optimized_bound, d.baseline_bound) << "seed " << seed;
+    }
+    expect_graphs_equal(e.graph(), g);
   }
+  EXPECT_GT(designs_with_channels, 0);  // the buffered probe was exercised
+}
+
+TEST(EngineIncremental, OptimizeBuffersRejectsDpServedSink) {
+  // Above path_cap, kAuto serves the sink from the DAG DP, whose report
+  // carries no chains.  The design must refuse loudly rather than return
+  // an empty "nothing to gain" design — on a fresh engine and on one whose
+  // report cache already holds the DP-served report.
+  const TaskGraph g = random_dag_graph(12, 3, /*seed=*/7);
+  const TaskId sink = g.sinks().front();
+  const std::size_t count = count_source_chains(g, sink);
+  ASSERT_GE(count, 3u);
+  DisparityOptions capped;
+  capped.path_cap = count - 1;
+
+  const AnalysisEngine fresh{TaskGraph{g}};
+  EXPECT_THROW((void)fresh.optimize_buffers(sink, capped), CapacityError);
+
+  const AnalysisEngine warm{TaskGraph{g}};
+  ASSERT_TRUE(warm.disparity(sink, capped).truncated);
+  EXPECT_THROW((void)warm.optimize_buffers(sink, capped), CapacityError);
+
+  // At a cap that admits every chain, the design runs normally.
+  DisparityOptions admitted;
+  admitted.path_cap = count;
+  EXPECT_NO_THROW((void)warm.optimize_buffers(sink, admitted));
+}
+
+TEST(EngineIncremental, OptimizeBuffersReadsTheCachedReport) {
+  // The design's baseline is the memoized disparity report: after a
+  // disparity() query it costs one report hit and no recomputation.
+  const TaskGraph g = ceta::testing::random_two_chain_graph(5, 2, /*seed=*/3);
+  const TaskId sink = g.sinks().front();
+  const AnalysisEngine e{TaskGraph{g}};
+  (void)e.disparity(sink);
+  const obs::MetricsSnapshot before = e.metrics();
+  (void)e.optimize_buffers(sink);
+  const obs::MetricsSnapshot after = e.metrics();
+  EXPECT_EQ(after.counter("engine.reports.hits"),
+            before.counter("engine.reports.hits") + 1);
+  EXPECT_EQ(after.counter("engine.reports.misses"),
+            before.counter("engine.reports.misses"));
+}
+
+TEST(EngineIncremental, ParetoPointsMatchPairBoundOnEditedCopy) {
+  std::size_t longest = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const TaskGraph g = ceta::testing::random_two_chain_graph(6, 3, seed);
+    const ResponseTimeMap rtm = response_times_of(g);
+    const TaskId sink = g.sinks().front();
+    const std::vector<Path> chains = enumerate_source_chains(g, sink);
+    ASSERT_GE(chains.size(), 2u);
+    AnalysisEngine e{TaskGraph{g}};
+
+    const std::vector<ParetoPoint> points =
+        buffer_pareto(e, chains[0], chains[1]);
+    const BufferDesign d = design_buffer(g, chains[0], chains[1], rtm);
+    ASSERT_EQ(points.size(), static_cast<std::size_t>(d.buffer_size));
+    longest = std::max(longest, points.size());
+    for (const ParetoPoint& p : points) {
+      EXPECT_EQ(p.shift, g.task(d.from).period * (p.buffer_size - 1));
+      Duration expected = d.baseline_bound;
+      if (p.buffer_size > 1) {
+        TaskGraph copy = g;
+        copy.set_buffer_size(d.from, d.to, p.buffer_size);
+        expected =
+            std::min(d.baseline_bound - p.shift,
+                     sdiff_pair_bound(copy, chains[0], chains[1], rtm).bound);
+      }
+      EXPECT_EQ(p.bound, expected)
+          << "seed " << seed << ", size " << p.buffer_size;
+    }
+    expect_graphs_equal(e.graph(), g);
+  }
+  EXPECT_GE(longest, 3u);  // intermediate sizes were exercised
+}
+
+TEST(EngineIncremental, SensitivityEntriesMatchFreshAnalysisOnPerturbedCopy) {
+  const TaskGraph g = random_dag_graph(10, 3, /*seed=*/5);
+  const TaskId sink = g.sinks().front();
+  const std::vector<TaskId> closure = ancestors(g, sink);
+  const SensitivityOptions opt;
+  AnalysisEngine e{TaskGraph{g}};
+  const std::vector<SensitivityEntry> entries = disparity_sensitivity(e, sink);
+  ASSERT_FALSE(entries.empty());
+
+  const auto scaled = [](Duration d, double factor) {
+    return Duration::ns(static_cast<std::int64_t>(
+        std::llround(static_cast<double>(d.count()) * factor)));
+  };
+  const Duration baseline =
+      analyze_time_disparity(g, sink, response_times_of(g)).worst_case;
+  for (const SensitivityEntry& entry : entries) {
+    EXPECT_EQ(entry.baseline, baseline);
+    TaskGraph copy = g;
+    Task& t = copy.task(entry.task);
+    if (entry.param == PerturbedParam::kPeriod) {
+      t.period = scaled(t.period, opt.period_factor);
+    } else {
+      t.wcet = scaled(t.wcet, opt.wcet_factor);
+      t.bcet = std::min(t.bcet, t.wcet);
+    }
+    const RtaResult rta = analyze_response_times(copy);
+    const bool schedulable =
+        std::all_of(closure.begin(), closure.end(),
+                    [&](TaskId id) { return rta.schedulable[id]; });
+    EXPECT_EQ(entry.schedulable, schedulable) << "task " << entry.task;
+    const Duration expected =
+        schedulable
+            ? analyze_time_disparity(copy, sink, rta.response_time).worst_case
+            : baseline;
+    EXPECT_EQ(entry.perturbed, expected) << "task " << entry.task;
+  }
+  expect_graphs_equal(e.graph(), g);
+}
+
+TEST(EngineIncremental, OffsetPlanMatchesExactOracleOnEditedCopy) {
+  const TaskGraph g = misaligned_let();
+  const TaskId f = 4;
+  AnalysisEngine e{TaskGraph{g}};
+  const OffsetPlan plan = plan_source_offsets(e, f);
+
+  EXPECT_EQ(plan.baseline, exact_let_disparity(g, f).worst_disparity);
+  EXPECT_GT(plan.evaluations, 1u);
+  TaskGraph tuned = g;
+  apply_offset_plan(tuned, plan);
+  for (const OffsetAssignment& a : plan.offsets) {
+    EXPECT_GE(a.offset, Duration::zero());
+    EXPECT_LT(a.offset, g.task(a.task).period);
+  }
+  EXPECT_EQ(plan.optimized, exact_let_disparity(tuned, f).worst_disparity);
+  EXPECT_LT(plan.optimized, plan.baseline);
   expect_graphs_equal(e.graph(), g);
 }
 
@@ -546,15 +668,15 @@ TEST(EngineIncremental, LookupsAreCountedOnceAtTheEntryLayer) {
   const TaskId f = g.sinks().front();
   (void)e.disparity(f);
 
-  EngineCacheStats stats = e.cache_stats();
-  EXPECT_EQ(stats.report_misses, 1u);
-  EXPECT_EQ(stats.report_hits, 0u);
-  EXPECT_EQ(stats.chain_bound_misses, 0u);
-  EXPECT_EQ(stats.chain_bound_hits, 0u);
-  EXPECT_EQ(stats.hop_misses, 0u);
-  EXPECT_EQ(stats.hop_hits, 0u);
-  EXPECT_EQ(stats.chain_set_misses, 0u);
-  EXPECT_EQ(stats.chain_set_hits, 0u);
+  obs::MetricsSnapshot stats = e.metrics();
+  EXPECT_EQ(stats.counter("engine.reports.misses"), 1u);
+  EXPECT_EQ(stats.counter("engine.reports.hits"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_bounds.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_bounds.hits"), 0u);
+  EXPECT_EQ(stats.counter("engine.hop.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.hop.hits"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_sets.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_sets.hits"), 0u);
 
   // The caches WERE warmed by the uncounted traffic: direct queries at
   // each layer are hits on their first counted lookup.
@@ -562,13 +684,13 @@ TEST(EngineIncremental, LookupsAreCountedOnceAtTheEntryLayer) {
   (void)e.hop(chains[0][0], chains[0][1]);
   (void)e.chain_bounds(chains[0]);
   (void)e.chains(f);
-  stats = e.cache_stats();
-  EXPECT_EQ(stats.hop_hits, 1u);
-  EXPECT_EQ(stats.hop_misses, 0u);
-  EXPECT_EQ(stats.chain_bound_hits, 1u);
-  EXPECT_EQ(stats.chain_bound_misses, 0u);
-  EXPECT_EQ(stats.chain_set_hits, 1u);
-  EXPECT_EQ(stats.chain_set_misses, 0u);
+  stats = e.metrics();
+  EXPECT_EQ(stats.counter("engine.hop.hits"), 1u);
+  EXPECT_EQ(stats.counter("engine.hop.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_bounds.hits"), 1u);
+  EXPECT_EQ(stats.counter("engine.chain_bounds.misses"), 0u);
+  EXPECT_EQ(stats.counter("engine.chain_sets.hits"), 1u);
+  EXPECT_EQ(stats.counter("engine.chain_sets.misses"), 0u);
 }
 
 TEST(EngineIncremental, TransactionBatchesOneCommit) {
@@ -585,8 +707,8 @@ TEST(EngineIncremental, TransactionBatchesOneCommit) {
   EXPECT_EQ(txn.size(), 2u);
   txn.commit();
 
-  EXPECT_EQ(e.cache_stats().mutation_commits, 1u);
-  EXPECT_EQ(e.cache_stats().mutation_edits, 2u);
+  EXPECT_EQ(e.metrics().counter("engine.mutate.commits"), 1u);
+  EXPECT_EQ(e.metrics().counter("engine.mutate.edits"), 2u);
   EXPECT_EQ(e.graph().task(2).priority, pb);
   EXPECT_EQ(e.graph().task(3).priority, pa);
   expect_matches_fresh(e, f);
@@ -597,7 +719,7 @@ TEST(EngineIncremental, RejectedCommitLeavesGraphAndCachesUntouched) {
   AnalysisEngine e{TaskGraph{g}};
   const TaskId f = g.sinks().front();
   const DisparityReport before = e.disparity(f);
-  const EngineCacheStats stats_before = e.cache_stats();
+  const obs::MetricsSnapshot stats_before = e.metrics();
 
   // Second edit invalidates the graph (zero period): the whole batch must
   // be rejected with the strong guarantee.
@@ -607,11 +729,14 @@ TEST(EngineIncremental, RejectedCommitLeavesGraphAndCachesUntouched) {
   EXPECT_THROW(txn.commit(), PreconditionError);
 
   expect_graphs_equal(e.graph(), g);
-  EXPECT_EQ(e.cache_stats().mutation_commits, stats_before.mutation_commits);
+  EXPECT_EQ(e.metrics().counter("engine.mutate.commits"),
+            stats_before.counter("engine.mutate.commits"));
   // The cached report survived: re-query is a pure hit.
   expect_reports_equal(e.disparity(f), before);
-  EXPECT_EQ(e.cache_stats().report_hits, stats_before.report_hits + 1);
-  EXPECT_EQ(e.cache_stats().report_stale, stats_before.report_stale);
+  EXPECT_EQ(e.metrics().counter("engine.reports.hits"),
+            stats_before.counter("engine.reports.hits") + 1);
+  EXPECT_EQ(e.metrics().counter("engine.reports.stale"),
+            stats_before.counter("engine.reports.stale"));
 }
 
 // Parameter-only batches are validated against the *final* batch state
@@ -636,7 +761,7 @@ TEST(EngineIncremental, PrecheckedCommitRejectsInvalidFinalStates) {
   EXPECT_THROW(e.set_period(99, Duration::ms(10)), PreconditionError);
 
   expect_graphs_equal(e.graph(), g);
-  EXPECT_EQ(e.cache_stats().mutation_commits, 0u);
+  EXPECT_EQ(e.metrics().counter("engine.mutate.commits"), 0u);
 
   // A batched swap is judged on final priorities, so it still commits.
   AnalysisEngine::Transaction swap(e);
@@ -765,37 +890,10 @@ TEST(EngineIncremental, StructuralRollbackPreservesOriginalDiagnostic) {
 }
 
 TEST(EngineIncremental, OffsetSweepFaultRestoresOffsetsAndMessage) {
-  // The misaligned LET fixture of test_offset_opt.cpp: sink 4, every
-  // closure task offset-tunable, so the sweep is several evaluations deep
-  // when the injected fault fires mid-pass.
-  TaskGraph g;
-  Task s1;
-  s1.name = "S1";
-  s1.period = Duration::ms(10);
-  const TaskId s1id = g.add_task(s1);
-  Task s2;
-  s2.name = "S2";
-  s2.period = Duration::ms(20);
-  s2.offset = Duration::ms(5);
-  const TaskId s2id = g.add_task(s2);
-  auto mk = [](const char* name, Duration period, EcuId ecu, int prio) {
-    Task t;
-    t.name = name;
-    t.wcet = t.bcet = Duration::ms(1);
-    t.period = period;
-    t.ecu = ecu;
-    t.priority = prio;
-    t.comm = CommSemantics::kLet;
-    return t;
-  };
-  const TaskId a = g.add_task(mk("A", Duration::ms(10), 0, 0));
-  const TaskId b = g.add_task(mk("B", Duration::ms(20), 0, 1));
-  const TaskId f = g.add_task(mk("F", Duration::ms(20), 1, 0));
-  g.add_edge(s1id, a);
-  g.add_edge(s2id, b);
-  g.add_edge(a, f);
-  g.add_edge(b, f);
-  g.validate();
+  // Every closure task is offset-tunable, so the sweep is several
+  // evaluations deep when the injected fault fires mid-pass.
+  const TaskGraph g = misaligned_let();
+  const TaskId f = 4;
 
   AnalysisEngine e{TaskGraph{g}};
   OffsetPlanOptions opt;
@@ -815,7 +913,7 @@ TEST(EngineIncremental, OffsetSweepFaultRestoresOffsetsAndMessage) {
   // plan was never attempted.
   expect_graphs_equal(e.graph(), g);
   const OffsetPlan clean = plan_source_offsets(e, f);
-  EXPECT_EQ(clean.baseline, plan_source_offsets(g, f).baseline);
+  EXPECT_EQ(clean.baseline, exact_let_disparity(g, f).worst_disparity);
   expect_graphs_equal(e.graph(), g);
 }
 

@@ -186,7 +186,7 @@ TEST(EngineParallel, RepeatedBatchesAreStable) {
       expect_reports_equal(again[i], first[i]);
     }
   }
-  EXPECT_EQ(engine.cache_stats().rta_runs, 1u);
+  EXPECT_EQ(engine.metrics().counter("engine.rta.runs"), 1u);
 }
 
 TEST(EngineParallel, ConcurrentCallersOnOneEngine) {
@@ -224,7 +224,7 @@ TEST(EngineParallel, ConcurrentCallersOnOneEngine) {
     }
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine.cache_stats().rta_runs, 1u);
+  EXPECT_EQ(engine.metrics().counter("engine.rta.runs"), 1u);
 }
 
 TEST(EngineParallel, TracedBatchesStayCorrectAndRaceFree) {

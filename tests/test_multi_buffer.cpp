@@ -1,9 +1,10 @@
-#include "disparity/multi_buffer.hpp"
+// The multi-chain buffer design (AnalysisEngine::optimize_buffers).
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "engine/analysis_engine.hpp"
 #include "graph/generator.hpp"
 #include "helpers.hpp"
 #include "sched/priority.hpp"
@@ -53,7 +54,7 @@ TEST(MultiBuffer, ReducesBoundOnThreeSensorFusion) {
   const TaskGraph g = three_sensor_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
   const TaskId fuse = 6;
-  const MultiBufferDesign d = design_buffers_for_task(g, fuse, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(fuse);
   EXPECT_LT(d.optimized_bound, d.baseline_bound);
   // The fast camera chain gets the deepest buffer; the lidar chain none.
   ASSERT_FALSE(d.channels.empty());
@@ -70,7 +71,7 @@ TEST(MultiBuffer, OptimizedBoundIsSafe) {
   const TaskGraph g = three_sensor_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
   const TaskId fuse = 6;
-  const MultiBufferDesign d = design_buffers_for_task(g, fuse, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(fuse);
 
   TaskGraph buffered = g;
   apply_multi_buffer_design(buffered, d);
@@ -95,7 +96,7 @@ TEST(MultiBuffer, OptimizedBoundIsSafe) {
 TEST(MultiBuffer, TrivialWhenFewerThanTwoChains) {
   const TaskGraph g = testing::simple_chain_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
-  const MultiBufferDesign d = design_buffers_for_task(g, 2, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(2);
   EXPECT_TRUE(d.channels.empty());
   EXPECT_EQ(d.optimized_bound, d.baseline_bound);
 }
@@ -105,7 +106,7 @@ TEST(MultiBuffer, TrivialWhenWindowsAlreadyAligned) {
   // nothing to shift.
   const TaskGraph g = testing::diamond_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
-  const MultiBufferDesign d = design_buffers_for_task(g, 4, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(4);
   EXPECT_TRUE(d.channels.empty());
   EXPECT_EQ(d.optimized_bound, d.baseline_bound);
 }
@@ -120,7 +121,7 @@ TEST(MultiBuffer, NeverWorseOnRandomFusionGraphs) {
     if (!analyze_response_times(g).all_schedulable) continue;
     const ResponseTimeMap rtm = testing::response_times_of(g);
     const TaskId fuse = g.sinks().front();
-    const MultiBufferDesign d = design_buffers_for_task(g, fuse, rtm);
+    const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(fuse);
     EXPECT_LE(d.optimized_bound, d.baseline_bound) << "seed " << seed;
     // Designs with channels must strictly improve (by construction).
     if (!d.channels.empty()) {
@@ -133,7 +134,7 @@ TEST(MultiBuffer, RejectsPreBufferedHeadChannel) {
   TaskGraph g = three_sensor_graph();
   g.set_buffer_size(0, 3, 2);  // cam -> proc_cam
   const ResponseTimeMap rtm = testing::response_times_of(g);
-  EXPECT_THROW(design_buffers_for_task(g, 6, rtm), PreconditionError);
+  EXPECT_THROW(AnalysisEngine(g, rtm).optimize_buffers(6), PreconditionError);
 }
 
 TEST(MultiBuffer, PairwiseCaseAgreesWithAlgorithm1Direction) {
@@ -142,7 +143,7 @@ TEST(MultiBuffer, PairwiseCaseAgreesWithAlgorithm1Direction) {
   const TaskGraph g = testing::random_two_chain_graph(5, 2, 77);
   const ResponseTimeMap rtm = testing::response_times_of(g);
   const TaskId sink = g.sinks().front();
-  const MultiBufferDesign d = design_buffers_for_task(g, sink, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(sink);
   if (d.channels.empty()) return;  // aligned already
   ASSERT_EQ(d.channels.size(), 1u);
   EXPECT_TRUE(g.is_source(d.channels[0].from));

@@ -1,9 +1,11 @@
-#include "disparity/offset_opt.hpp"
+// LET offset synthesis (engine/incremental.hpp).
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "disparity/exact.hpp"
+#include "engine/incremental.hpp"
 #include "helpers.hpp"
 #include "sched/priority.hpp"
 #include "sim/engine.hpp"
@@ -44,9 +46,15 @@ TaskGraph misaligned_let() {
   return g;
 }
 
+OffsetPlan plan_offsets(const TaskGraph& g, TaskId task,
+                        const OffsetPlanOptions& opt = {}) {
+  AnalysisEngine engine(g);
+  return plan_source_offsets(engine, task, opt);
+}
+
 TEST(OffsetPlan, EliminatesDisparityOnHarmonicFixture) {
   const TaskGraph g = misaligned_let();
-  const OffsetPlan plan = plan_source_offsets(g, 4);
+  const OffsetPlan plan = plan_offsets(g, 4);
   EXPECT_EQ(plan.baseline, Duration::ms(25));
   // Harmonic periods + full offset freedom: the phases can be aligned so
   // both traced samples coincide at some multiple of the 1ms grid.
@@ -58,7 +66,7 @@ TEST(OffsetPlan, EliminatesDisparityOnHarmonicFixture) {
 
 TEST(OffsetPlan, AppliedPlanReproducesOptimizedValue) {
   const TaskGraph g = misaligned_let();
-  const OffsetPlan plan = plan_source_offsets(g, 4);
+  const OffsetPlan plan = plan_offsets(g, 4);
   TaskGraph tuned = g;
   apply_offset_plan(tuned, plan);
   tuned.validate();
@@ -67,7 +75,7 @@ TEST(OffsetPlan, AppliedPlanReproducesOptimizedValue) {
 
 TEST(OffsetPlan, SimulationConfirmsOptimizedSystem) {
   const TaskGraph g = misaligned_let();
-  const OffsetPlan plan = plan_source_offsets(g, 4);
+  const OffsetPlan plan = plan_offsets(g, 4);
   TaskGraph tuned = g;
   apply_offset_plan(tuned, plan);
   SimOptions opt;
@@ -85,7 +93,7 @@ TEST(OffsetPlan, NeverWorseOnRandomLetInstances) {
     randomize_offsets(g, rng);
     g.validate();
     const TaskId sink = g.sinks().front();
-    const OffsetPlan plan = plan_source_offsets(g, sink);
+    const OffsetPlan plan = plan_offsets(g, sink);
     EXPECT_LE(plan.optimized, plan.baseline) << "seed " << seed;
     // Re-evaluation of the applied plan matches.
     TaskGraph tuned = g;
@@ -100,7 +108,7 @@ TEST(OffsetPlan, SourcesOnlyModeTouchesOnlySources) {
   const TaskGraph g = misaligned_let();
   OffsetPlanOptions opt;
   opt.tunables = OffsetTunables::kSourcesOnly;
-  const OffsetPlan plan = plan_source_offsets(g, 4, opt);
+  const OffsetPlan plan = plan_offsets(g, 4, opt);
   for (const OffsetAssignment& a : plan.offsets) {
     EXPECT_TRUE(g.is_source(a.task));
     EXPECT_LT(a.offset, g.task(a.task).period);
@@ -126,21 +134,21 @@ TEST(OffsetPlan, AllTasksModeAtLeastAsGoodAsSourcesOnly) {
     OffsetPlanOptions sources_only;
     sources_only.tunables = OffsetTunables::kSourcesOnly;
     const OffsetPlan restricted =
-        plan_source_offsets(g, sink, sources_only);
-    const OffsetPlan full = plan_source_offsets(g, sink);
+        plan_offsets(g, sink, sources_only);
+    const OffsetPlan full = plan_offsets(g, sink);
     EXPECT_LE(full.optimized, restricted.optimized) << "seed " << seed;
   }
 }
 
 TEST(OffsetPlan, Preconditions) {
   const TaskGraph g = misaligned_let();
-  EXPECT_THROW(plan_source_offsets(g, 99), PreconditionError);
+  EXPECT_THROW(plan_offsets(g, 99), PreconditionError);
   OffsetPlanOptions opt;
   opt.granularity = Duration::zero();
-  EXPECT_THROW(plan_source_offsets(g, 4, opt), PreconditionError);
+  EXPECT_THROW(plan_offsets(g, 4, opt), PreconditionError);
   opt = OffsetPlanOptions{};
   opt.passes = 0;
-  EXPECT_THROW(plan_source_offsets(g, 4, opt), PreconditionError);
+  EXPECT_THROW(plan_offsets(g, 4, opt), PreconditionError);
 }
 
 TEST(OffsetPlan, InjectedSweepFaultSurfacesVerbatim) {
@@ -150,7 +158,7 @@ TEST(OffsetPlan, InjectedSweepFaultSurfacesVerbatim) {
   OffsetPlanOptions opt;
   opt.fault_fail_after_evaluations = 2;
   try {
-    plan_source_offsets(g, 4, opt);
+    plan_offsets(g, 4, opt);
     FAIL() << "expected the injected fault";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("injected offset-sweep fault"),
@@ -158,7 +166,7 @@ TEST(OffsetPlan, InjectedSweepFaultSurfacesVerbatim) {
         << e.what();
   }
   // The fault counter is per-call state: a clean rerun is unaffected.
-  const OffsetPlan plan = plan_source_offsets(g, 4);
+  const OffsetPlan plan = plan_offsets(g, 4);
   EXPECT_EQ(plan.baseline, Duration::ms(25));
 }
 

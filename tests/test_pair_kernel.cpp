@@ -360,9 +360,9 @@ TEST(PairKernel, EngineDisparityMatchesFreeFunctionAtEveryKeepMode) {
     }
   }
   // Distinct keep modes must not alias one cache entry.
-  const auto stats = engine.cache_stats();
-  EXPECT_GE(stats.report_misses, 6u);
-  EXPECT_GE(stats.report_hits, 6u);
+  const auto stats = engine.metrics();
+  EXPECT_GE(stats.counter("engine.reports.misses"), 6u);
+  EXPECT_GE(stats.counter("engine.reports.hits"), 6u);
 }
 
 }  // namespace

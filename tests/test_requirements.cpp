@@ -1,9 +1,11 @@
-#include "disparity/requirements.hpp"
+// Requirement verification with buffer remedies (engine/requirements.hpp).
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "disparity/analyzer.hpp"
+#include "engine/analysis_engine.hpp"
+#include "engine/requirements.hpp"
 #include "helpers.hpp"
 #include "sim/engine.hpp"
 
@@ -67,7 +69,7 @@ TEST(Requirements, ViolationFixedByBuffers) {
   const TaskGraph g = three_sensor_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
   const Duration bound = analyze_time_disparity(g, 6, rtm).worst_case;
-  const MultiBufferDesign d = design_buffers_for_task(g, 6, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(6);
   ASSERT_LT(d.optimized_bound, bound);
 
   // Ask for something between the optimized and the unoptimized bound.
@@ -104,7 +106,7 @@ TEST(Requirements, ImpossibleThresholdReported) {
 TEST(Requirements, RemedyVerifiedBySimulation) {
   const TaskGraph g = three_sensor_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
-  const MultiBufferDesign d = design_buffers_for_task(g, 6, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(6);
   const RequirementsReport rep =
       verify_disparity_requirements(g, {{6, d.optimized_bound}}, rtm);
   ASSERT_TRUE(rep.all_satisfied);
@@ -132,7 +134,7 @@ TEST(Requirements, MultipleTasksReverifiedAfterRemedies) {
   const ResponseTimeMap rtm = testing::response_times_of(g);
 
   const Duration fuse_bound = analyze_time_disparity(g, 6, rtm).worst_case;
-  const MultiBufferDesign d = design_buffers_for_task(g, 6, rtm);
+  const MultiBufferDesign d = AnalysisEngine(g, rtm).optimize_buffers(6);
   const std::vector<DisparityRequirement> reqs = {
       {6, d.optimized_bound},            // needs the remedy
       {act_id, fuse_bound + Duration::ms(50)},  // loose

@@ -1,8 +1,9 @@
-#include "disparity/sensitivity.hpp"
+// The parameter sensitivity scan (engine/incremental.hpp).
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "engine/incremental.hpp"
 #include "helpers.hpp"
 
 namespace ceta {
@@ -39,6 +40,12 @@ TaskGraph fig4_graph() {
   return g;
 }
 
+std::vector<SensitivityEntry> scan(const TaskGraph& g, TaskId task,
+                                   const SensitivityOptions& opt = {}) {
+  AnalysisEngine engine(g);
+  return disparity_sensitivity(engine, task, opt);
+}
+
 const SensitivityEntry* find(const std::vector<SensitivityEntry>& entries,
                              TaskId task, PerturbedParam param) {
   for (const SensitivityEntry& e : entries) {
@@ -49,7 +56,7 @@ const SensitivityEntry* find(const std::vector<SensitivityEntry>& entries,
 
 TEST(Sensitivity, Fig4SlowChainPeriodDominates) {
   const TaskGraph g = fig4_graph();
-  const auto entries = disparity_sensitivity(g, 4);
+  const auto entries = scan(g, 4);
   // Doubling the *slow* chain's rates (S2, Q) must move the bound far
   // more than doubling the fast middle task P's rate — the paper's Fig. 4
   // observation, quantified.
@@ -73,7 +80,7 @@ TEST(Sensitivity, WcetBarelyMattersUnderTinyUtilization) {
   // Periods dominate every bound; halving a WCET moves the bound by at
   // most O(R) (milliseconds here, vs a 100ms-scale bound).
   const TaskGraph g = fig4_graph();
-  const auto entries = disparity_sensitivity(g, 4);
+  const auto entries = scan(g, 4);
   for (const SensitivityEntry& e : entries) {
     if (e.param != PerturbedParam::kWcet) continue;
     const Duration d = e.delta() < Duration::zero() ? -e.delta() : e.delta();
@@ -84,7 +91,7 @@ TEST(Sensitivity, WcetBarelyMattersUnderTinyUtilization) {
 TEST(Sensitivity, EntriesCoverAncestorsOnly) {
   // Sensitivity of the branch task C in the diamond must not include D.
   const TaskGraph g = testing::diamond_graph();
-  const auto entries = disparity_sensitivity(g, 2);  // C
+  const auto entries = scan(g, 2);  // C
   for (const SensitivityEntry& e : entries) {
     EXPECT_NE(e.task, 3u);  // D is not an ancestor of C
     EXPECT_NE(e.task, 4u);  // E neither
@@ -98,14 +105,14 @@ TEST(Sensitivity, PerturbationsKeepBaselineConsistent) {
   const TaskGraph g = testing::diamond_graph();
   const ResponseTimeMap rtm = testing::response_times_of(g);
   const Duration expected = analyze_time_disparity(g, 4, rtm).worst_case;
-  for (const SensitivityEntry& e : disparity_sensitivity(g, 4)) {
+  for (const SensitivityEntry& e : scan(g, 4)) {
     EXPECT_EQ(e.baseline, expected);
   }
 }
 
 TEST(Sensitivity, SortedByMagnitude) {
   const TaskGraph g = fig4_graph();
-  const auto entries = disparity_sensitivity(g, 4);
+  const auto entries = scan(g, 4);
   for (std::size_t i = 1; i < entries.size(); ++i) {
     if (!entries[i].schedulable) continue;  // unschedulable sorted last
     const auto mag = [](const SensitivityEntry& e) {
@@ -130,7 +137,7 @@ TEST(Sensitivity, UnschedulablePerturbationFlagged) {
   const TaskId heavy_id = g.add_task(heavy);
   g.add_edge(0, heavy_id);  // fed by S1; not an ancestor of F
   g.validate();
-  const auto entries = disparity_sensitivity(g, 4);
+  const auto entries = scan(g, 4);
   const SensitivityEntry* p = find(entries, 2, PerturbedParam::kPeriod);
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(p->schedulable);
@@ -141,10 +148,10 @@ TEST(Sensitivity, UnschedulablePerturbationFlagged) {
 
 TEST(Sensitivity, Preconditions) {
   const TaskGraph g = fig4_graph();
-  EXPECT_THROW(disparity_sensitivity(g, 99), PreconditionError);
+  EXPECT_THROW(scan(g, 99), PreconditionError);
   SensitivityOptions opt;
   opt.period_factor = 0.0;
-  EXPECT_THROW(disparity_sensitivity(g, 4, opt), PreconditionError);
+  EXPECT_THROW(scan(g, 4, opt), PreconditionError);
 }
 
 }  // namespace

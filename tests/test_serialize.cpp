@@ -111,6 +111,47 @@ TEST(Serialize, PolicyParseErrors) {
   EXPECT_THROW(graph_from_text(base + "policy 0\n"), PreconditionError);
 }
 
+/// The PreconditionError message of parsing `text`, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    graph_from_text(text);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Serialize, StrictParserNamesLineAndToken) {
+  const std::string tasks =
+      "task A 0 0 10000000 0 0 -1\ntask B 1000 1000 10000000 0 0 0\n";
+  const auto expect_rejected = [&](const std::string& line,
+                                   const std::string& token) {
+    const std::string what = parse_error(tasks + line + "\n");
+    EXPECT_NE(what.find("line 3"), std::string::npos) << line << ": " << what;
+    EXPECT_NE(what.find("'" + token + "'"), std::string::npos)
+        << line << ": " << what;
+  };
+  expect_rejected("edge A B 3 junk", "junk");  // trailing token
+  expect_rejected("edge A B junk", "junk");    // non-numeric buffer size
+  expect_rejected("policy 0 edf junk", "junk");
+  expect_rejected("policy 0x edf", "0x");
+  // Numbers must be whole tokens: a numeric prefix is not enough.
+  const std::string jitter_line = "task C 0 0 10000000 0 0 -1 J=5x";
+  const std::string what = parse_error(jitter_line + "\n");
+  EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("'J=5x'"), std::string::npos) << what;
+  EXPECT_NE(parse_error("task C 0 0 10000000 0 1.5 -1\n").find("'1.5'"),
+            std::string::npos);
+  // A buffer size that is numeric but below 1 keeps its own diagnostic.
+  EXPECT_NE(parse_error(tasks + "edge A B 0\n").find("must be >= 1"),
+            std::string::npos);
+  // The well-formed forms still parse.
+  const TaskGraph g = graph_from_text(
+      tasks + "edge A B 3\npolicy 0 edf\n# trailing comment\n");
+  EXPECT_EQ(g.channel(0, 1).buffer_size, 3);
+  EXPECT_EQ(g.policy(0), SchedPolicy::kEdf);
+}
+
 TEST(Dot, ContainsStructure) {
   TaskGraph g = testing::diamond_graph();
   g.set_buffer_size(0, 1, 3);

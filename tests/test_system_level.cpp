@@ -9,8 +9,8 @@
 #include "chain/latency.hpp"
 #include "common/rng.hpp"
 #include "disparity/analyzer.hpp"
-#include "disparity/requirements.hpp"
-#include "disparity/sensitivity.hpp"
+#include "engine/incremental.hpp"
+#include "engine/requirements.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generator.hpp"
 #include "graph/paths.hpp"
@@ -90,7 +90,8 @@ TEST_P(SystemLevel, EndToEndFlowConsistent) {
   }
 
   // Sensitivity entries cover exactly the fusion ancestors.
-  const auto sens = disparity_sensitivity(g, sys.fusion);
+  AnalysisEngine engine(g);
+  const auto sens = disparity_sensitivity(engine, sys.fusion);
   const auto anc = ancestors(g, sys.fusion);
   for (const SensitivityEntry& e : sens) {
     EXPECT_NE(std::find(anc.begin(), anc.end(), e.task), anc.end());

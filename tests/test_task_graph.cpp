@@ -62,13 +62,19 @@ TEST(TaskGraph, RemoveEdgeDeletesEdgeAndAdjacency) {
   const TaskId a = g.add_task(simple_task("a"));
   const TaskId b = g.add_task(simple_task("b", 0, 1));
   const TaskId c = g.add_task(simple_task("c", 0, 2));
-  g.add_edge(a, b);
-  g.add_edge(a, c);
-  g.add_edge(b, c);
+  g.add_edge(a, b, ChannelSpec{2});
+  g.add_edge(a, c, ChannelSpec{3});
+  g.add_edge(b, c, ChannelSpec{4});
 
   g.remove_edge(a, c);
   EXPECT_FALSE(g.has_edge(a, c));
   EXPECT_EQ(g.num_edges(), 2u);
+  // Lookups of the surviving edges still reach their own channels,
+  // including the one stored after the removed edge.
+  EXPECT_EQ(g.channel(a, b).buffer_size, 2);
+  EXPECT_EQ(g.channel(b, c).buffer_size, 4);
+  g.set_buffer_size(b, c, 5);
+  EXPECT_EQ(g.edges()[1].channel.buffer_size, 5);
   // Remaining adjacency preserves insertion order.
   ASSERT_EQ(g.successors(a).size(), 1u);
   EXPECT_EQ(g.successors(a)[0], b);
