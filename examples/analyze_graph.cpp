@@ -180,9 +180,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "Schedulability (non-preemptive fixed priority):\n";
   sched.print(std::cout);
-  for (const EcuId ecu : resources_of(g)) {
-    std::cout << "  ECU " << ecu
-              << " utilization: " << fmt_percent(resource_utilization(g, ecu))
+  const EcuIndex ecus(g);
+  for (const EcuId ecu : ecus.ecus()) {
+    std::cout << "  ECU " << ecu << " utilization: "
+              << fmt_percent(resource_utilization(g, ecus.members(ecu)))
               << '\n';
   }
   if (!rta.all_schedulable) {

@@ -160,10 +160,11 @@ int main(int argc, char** argv) {
   bus.msg_wcet = Duration::us(400);
   bus.msg_bcet = Duration::us(200);
   const TaskGraph sys = insert_can_messages(g, bus);
+  const EcuIndex resources(sys);
   std::cout << "System: " << sys.num_tasks() << " tasks ("
             << sys.num_tasks() - g.num_tasks() << " CAN messages), "
             << sys.num_edges() << " channels, "
-            << resources_of(sys).size() << " resources\n";
+            << resources.ecus().size() << " resources\n";
 
   // One engine serves every analysis of the bus-extended system below:
   // the RTA, chain sets and per-hop bounds are computed once and shared.
@@ -178,9 +179,10 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  for (const EcuId ecu : resources_of(sys)) {
+  for (const EcuId ecu : resources.ecus()) {
     std::cout << "  resource " << ecu << ": "
-              << fmt_percent(resource_utilization(sys, ecu)) << " utilized\n";
+              << fmt_percent(resource_utilization(sys, resources.members(ecu)))
+              << " utilized\n";
   }
 
   // Scoping: the fusion analysis only needs fusion's ancestor closure.

@@ -62,9 +62,11 @@ int main(int argc, char** argv) {
     std::cerr << "unschedulable draw (unexpected for WATERS utilizations)\n";
     return 1;
   }
-  for (const EcuId ecu : resources_of(g)) {
+  const EcuIndex ecus(g);
+  for (const EcuId ecu : ecus.ecus()) {
     std::cout << "ECU " << ecu << " utilization: "
-              << fmt_percent(resource_utilization(g, ecu), 3) << '\n';
+              << fmt_percent(resource_utilization(g, ecus.members(ecu)), 3)
+              << '\n';
   }
 
   DisparityOptions opt;

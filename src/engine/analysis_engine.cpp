@@ -87,7 +87,7 @@ AnalysisEngine::Instruments::Instruments(obs::MetricsRegistry& r)
 AnalysisEngine::AnalysisEngine(TaskGraph graph, EngineOptions opt)
     : graph_(std::move(graph)), opt_(opt) {
   graph_.validate();
-  deps_.rebuild(graph_);
+  ecus_ = EcuIndex(graph_);
   task_epoch_.assign(graph_.num_tasks(), 0);
   chain_set_epoch_.assign(graph_.num_tasks(), 0);
   report_epoch_.assign(graph_.num_tasks(), 0);
@@ -100,7 +100,7 @@ AnalysisEngine::AnalysisEngine(TaskGraph graph, ResponseTimeMap rtm,
   CETA_EXPECTS(rtm.size() == graph_.num_tasks(),
                "AnalysisEngine: response-time map size mismatch");
   external_rtm_ = std::make_unique<ResponseTimeMap>(std::move(rtm));
-  deps_.rebuild(graph_);
+  ecus_ = EcuIndex(graph_);
   task_epoch_.assign(graph_.num_tasks(), 0);
   chain_set_epoch_.assign(graph_.num_tasks(), 0);
   report_epoch_.assign(graph_.num_tasks(), 0);
@@ -111,7 +111,7 @@ AnalysisEngine::~AnalysisEngine() = default;
 AnalysisEngine::AnalysisEngine(const AnalysisEngine& other, CloneTag)
     : graph_(other.graph_),
       opt_(other.opt_),
-      deps_(other.deps_),
+      ecus_(other.ecus_),
       commit_epoch_(other.commit_epoch_),
       task_epoch_(other.task_epoch_),
       chain_set_epoch_(other.chain_set_epoch_),
@@ -164,7 +164,7 @@ void AnalysisEngine::ensure_rta() const {
     obs::Span span("engine", "rta_refresh");
     span.arg("tasks", static_cast<std::int64_t>(rta_dirty_.size()));
     const auto t0 = std::chrono::steady_clock::now();
-    reanalyze_response_times(graph_, opt_.rta, rta_dirty_, *rta_);
+    reanalyze_response_times(graph_, opt_.rta, ecus_, rta_dirty_, *rta_);
     ins_.rta_compute.observe(elapsed_since(t0));
     ins_.rta_refreshed_tasks.add(rta_dirty_.size());
     rta_dirty_.clear();
@@ -721,7 +721,7 @@ void AnalysisEngine::validate_staged(
     if (t.ecu == kNoEcu) continue;
     // Uniqueness against the cohort's *final* priorities, so a batched
     // swap validates while a genuine collision is rejected.
-    for (const TaskId other : deps_.ecu_cohort(id)) {
+    for (const TaskId other : ecus_.cohort(id)) {
       if (other == id) continue;
       const auto it = finals.find(other);
       const int other_prio =
@@ -799,7 +799,7 @@ void AnalysisEngine::apply_mutations(
   }
 
   const engine::InvalidationPlan plan =
-      engine::plan_invalidation(graph_, deps_, edits, removed_closures);
+      engine::plan_invalidation(graph_, ecus_, edits, removed_closures);
 
   {
     // One epoch bump under every cache mutex: lookups either see the

@@ -555,7 +555,10 @@ class AnalysisEngine {
   // Epochs are written during commits (all cache mutexes held) and read
   // under the respective cache mutex, which establishes the necessary
   // happens-before without extra synchronization.
-  engine::DependencyIndex deps_;
+  /// ECU cohorts of graph_: the scoped RTA refresh, the invalidation
+  /// plan and the priority precheck read it.  ECU placement is immutable
+  /// under the mutation API, so it is built once.
+  EcuIndex ecus_;
   std::uint64_t commit_epoch_ = 0;
   std::vector<std::uint64_t> task_epoch_;       // bound inputs changed
   std::vector<std::uint64_t> chain_set_epoch_;  // enumeration changed

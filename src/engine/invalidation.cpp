@@ -1,7 +1,6 @@
 #include "engine/invalidation.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -47,32 +46,8 @@ void sort_unique(std::vector<std::pair<TaskId, TaskId>>& v) {
 
 }  // namespace
 
-void DependencyIndex::rebuild(const TaskGraph& g) {
-  group_of_.assign(g.num_tasks(), 0);
-  groups_.clear();
-  std::map<EcuId, std::size_t> group_of_ecu;
-  for (TaskId id = 0; id < g.num_tasks(); ++id) {
-    const EcuId ecu = g.task(id).ecu;
-    if (ecu == kNoEcu) {
-      // Sources compete with nobody: singleton cohort.
-      group_of_[id] = groups_.size();
-      groups_.push_back({id});
-      continue;
-    }
-    const auto [it, inserted] = group_of_ecu.emplace(ecu, groups_.size());
-    if (inserted) groups_.emplace_back();
-    group_of_[id] = it->second;
-    groups_[it->second].push_back(id);
-  }
-}
-
-const std::vector<TaskId>& DependencyIndex::ecu_cohort(TaskId t) const {
-  CETA_EXPECTS(t < group_of_.size(), "DependencyIndex: unknown task id");
-  return groups_[group_of_[t]];
-}
-
 InvalidationPlan plan_invalidation(
-    const TaskGraph& post, const DependencyIndex& deps,
+    const TaskGraph& post, const EcuIndex& ecus,
     const std::vector<Mutation>& edits,
     const std::vector<std::vector<TaskId>>& removed_closures) {
   InvalidationPlan plan;
@@ -94,7 +69,7 @@ InvalidationPlan plan_invalidation(
         // every hop bound touching a cohort member (θ = T + R refinements)
         // and — per the §9 contract — the chain enumerations through the
         // task (periods bound enumeration capacity downstream).
-        for (const TaskId c : deps.ecu_cohort(m.task)) {
+        for (const TaskId c : ecus.cohort(m.task)) {
           plan.rta_tasks.push_back(c);
           plan.bound_tasks.push_back(c);
           report_seeds.push_back(c);
@@ -105,7 +80,7 @@ InvalidationPlan plan_invalidation(
       case MutationKind::kPriority:
         // WCET/priority edits shift the cohort's blocking/interference
         // terms; chain *structure* is untouched, so enumerations survive.
-        for (const TaskId c : deps.ecu_cohort(m.task)) {
+        for (const TaskId c : ecus.cohort(m.task)) {
           plan.rta_tasks.push_back(c);
           plan.bound_tasks.push_back(c);
           report_seeds.push_back(c);
@@ -132,14 +107,10 @@ InvalidationPlan plan_invalidation(
         // and the hop bounds touching its members (the Lemma 4 same-ECU
         // refinements are routed by the policy) — exactly a priority
         // edit's footprint.  Chain structure is untouched.
-        for (TaskId id = 0; id < post.num_tasks(); ++id) {
-          if (post.task(id).ecu != m.ecu) continue;
-          for (const TaskId c : deps.ecu_cohort(id)) {
-            plan.rta_tasks.push_back(c);
-            plan.bound_tasks.push_back(c);
-            report_seeds.push_back(c);
-          }
-          break;  // one member reaches the whole cohort
+        for (const TaskId c : ecus.members(m.ecu)) {
+          plan.rta_tasks.push_back(c);
+          plan.bound_tasks.push_back(c);
+          report_seeds.push_back(c);
         }
         break;
       case MutationKind::kRemoveEdge: {

@@ -1,4 +1,4 @@
-// Dependency index + invalidation planning for the incremental engine.
+// Invalidation planning for the incremental engine.
 //
 // AnalysisEngine's caches memoize four artifact kinds — RTA entries, hop
 // bounds θ(u,v), per-chain W/B bounds and enumerated chain sets / reports.
@@ -9,9 +9,6 @@
 // contract as plain data, with no locking and no knowledge of the cache
 // containers:
 //
-//  * DependencyIndex — the static dependency structure (task → same-ECU
-//    cohort).  ECU placement is immutable under the mutation API, so the
-//    index is built once per engine.
 //  * Mutation — one primitive edit, the unit a Transaction batches.
 //  * InvalidationPlan / plan_invalidation — maps a committed edit batch to
 //    the dirty sets per cache layer, O(affected) in the sense that each
@@ -23,6 +20,13 @@
 // per-task/per-edge epochs record the last commit that dirtied them; a
 // lookup treats an entry as stale iff its stamp is older than the epoch of
 // any of its inputs.  That keeps commits O(affected) — no cache scans.
+//
+// The static dependency structure is the EcuIndex (sched/ecu_index.hpp):
+// the only non-local dependency of the per-task RTA fixpoint is the
+// same-ECU competitor set, so editing the WCET/period/priority of τ
+// dirties exactly τ's cohort.  Tasks are never re-mapped by the mutation
+// API (and add_edge cannot turn a task into a source, see
+// AnalysisEngine::add_edge), so the engine builds the index once.
 
 #pragma once
 
@@ -31,6 +35,7 @@
 
 #include "common/time.hpp"
 #include "graph/task_graph.hpp"
+#include "sched/ecu_index.hpp"
 
 namespace ceta::engine {
 
@@ -69,29 +74,6 @@ struct Mutation {
   SchedPolicy policy = SchedPolicy::kNonPreemptive;
 };
 
-/// Static dependency structure of a graph, built once per engine.
-///
-/// The only non-local dependency of the per-task NP-FP fixpoint is the
-/// same-ECU competitor set, so the index is the ECU partition: editing the
-/// WCET/period/priority of τ dirties exactly ecu_cohort(τ).  Tasks are
-/// never re-mapped by the mutation API (and add_edge cannot turn a task
-/// into a source, see AnalysisEngine::add_edge), so cohorts stay valid for
-/// the engine's lifetime.
-class DependencyIndex {
- public:
-  /// Build the ECU partition of `g`.  Source tasks (no ECU) get singleton
-  /// cohorts.  O(V log V).
-  void rebuild(const TaskGraph& g);
-
-  /// All tasks sharing `t`'s ECU, `t` included, in ascending id order; the
-  /// exact set whose WCRTs can change when `t`'s scheduling parameters do.
-  const std::vector<TaskId>& ecu_cohort(TaskId t) const;
-
- private:
-  std::vector<std::size_t> group_of_;
-  std::vector<std::vector<TaskId>> groups_;
-};
-
 /// Dirty sets of one committed edit batch, per cache layer.  Each vector is
 /// deduplicated and sorted.
 struct InvalidationPlan {
@@ -122,7 +104,7 @@ struct InvalidationPlan {
 /// forward walk per edit class, O(V + E) worst case but proportional to
 /// the reachable region in practice — never a cache scan.
 InvalidationPlan plan_invalidation(
-    const TaskGraph& post, const DependencyIndex& deps,
+    const TaskGraph& post, const EcuIndex& ecus,
     const std::vector<Mutation>& edits,
     const std::vector<std::vector<TaskId>>& removed_closures);
 

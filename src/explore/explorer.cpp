@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -16,6 +15,7 @@
 #include "graph/algorithms.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sched/ecu_index.hpp"
 
 namespace ceta::explore {
 
@@ -46,12 +46,12 @@ MoveContext build_context(const TaskGraph& g, TaskId sink) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     if (in_cone[edges[i].to]) ctx.cone_edges.push_back(i);
   }
-  std::map<EcuId, std::vector<TaskId>> by_ecu;
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    if (!g.is_source(t)) by_ecu[g.task(t).ecu].push_back(t);
-  }
-  for (auto& [ecu, members] : by_ecu) {
-    if (members.size() >= 2) ctx.cohorts.push_back(std::move(members));
+  const EcuIndex index(g);
+  for (const EcuId ecu : index.ecus()) {
+    const std::span<const TaskId> members = index.members(ecu);
+    if (members.size() >= 2) {
+      ctx.cohorts.emplace_back(members.begin(), members.end());
+    }
   }
   ctx.sources = g.sources();
   return ctx;

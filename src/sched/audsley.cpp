@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "sched/ecu_index.hpp"
 
 namespace ceta {
 
@@ -32,15 +33,12 @@ bool schedulable_at_lowest(const TaskGraph& g, TaskId candidate,
 }  // namespace
 
 AudsleyResult assign_priorities_audsley(TaskGraph& g, const RtaOptions& opt) {
-  std::map<EcuId, std::vector<TaskId>> by_ecu;
-  for (TaskId id = 0; id < g.num_tasks(); ++id) {
-    if (g.task(id).ecu != kNoEcu) by_ecu[g.task(id).ecu].push_back(id);
-  }
-
+  const EcuIndex index(g);
   AudsleyResult result;
   std::map<TaskId, int> assignment;
-  for (const auto& [ecu, tasks] : by_ecu) {
-    std::vector<TaskId> unassigned = tasks;
+  for (const EcuId ecu : index.ecus()) {
+    const std::span<const TaskId> tasks = index.members(ecu);
+    std::vector<TaskId> unassigned(tasks.begin(), tasks.end());
     // Blocking seen by a level comes from the max WCET strictly below it.
     Duration blocking_below = Duration::zero();
     bool ok = true;

@@ -1,7 +1,7 @@
 #include "sched/npfp_rta.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -53,12 +53,16 @@ Duration queueing_delay(Duration blocking, Duration own_wcet, std::int64_t q,
   return Duration::max();
 }
 
-/// WCRT + schedulability of one task, written into `res`.  Single source
-/// of truth shared by analyze_response_times and
-/// reanalyze_response_times — scoped refreshes are bit-identical to a
-/// full run because both execute exactly this routine per task.
-void analyze_task_into(const TaskGraph& g, const RtaOptions& opt, TaskId id,
-                       RtaResult& res) {
+/// WCRT + schedulability of one task, written into `res`; adds the
+/// cohort members it visits to `visited`.  Single source of truth shared by
+/// analyze_response_times and reanalyze_response_times — scoped refreshes
+/// are bit-identical to a full run because both execute exactly this
+/// routine per task.  `cohort` is id's EcuIndex cohort, in ascending id
+/// order, so the competitor lists and the utilization sum come out in
+/// the order of a scan over all task ids.
+void analyze_task_into(const TaskGraph& g, const RtaOptions& opt,
+                       std::span<const TaskId> cohort, TaskId id,
+                       RtaResult& res, std::uint64_t& visited) {
   const Task& t = g.task(id);
   res.schedulable[id] = true;
   if (t.ecu == kNoEcu) {
@@ -67,20 +71,20 @@ void analyze_task_into(const TaskGraph& g, const RtaOptions& opt, TaskId id,
     res.response_time[id] = t.jitter;
     return;
   }
+  visited += cohort.size();
 
   // Partition same-resource competitors by priority (EDF ignores the
   // partition and contends against the full cohort).
   std::vector<Competitor> hp;
-  std::vector<Competitor> cohort;
+  std::vector<Competitor> cohort_others;
   Duration blocking = Duration::zero();
-  for (TaskId other = 0; other < g.num_tasks(); ++other) {
+  for (const TaskId other : cohort) {
     if (other == id) continue;
     const Task& o = g.task(other);
-    if (o.ecu != t.ecu) continue;
     CETA_EXPECTS(o.priority != t.priority,
                  "analyze_response_times: duplicate priority on ECU " +
                      std::to_string(t.ecu));
-    cohort.push_back({o.wcet, o.period, o.jitter});
+    cohort_others.push_back({o.wcet, o.period, o.jitter});
     if (higher_priority(o, t)) {
       hp.push_back({o.wcet, o.period, o.jitter});
     } else {
@@ -88,7 +92,7 @@ void analyze_task_into(const TaskGraph& g, const RtaOptions& opt, TaskId id,
     }
   }
 
-  if (resource_utilization(g, t.ecu) >= 1.0) {
+  if (resource_utilization(g, cohort) >= 1.0) {
     res.response_time[id] = Duration::max();
     res.schedulable[id] = false;
     return;
@@ -113,7 +117,7 @@ void analyze_task_into(const TaskGraph& g, const RtaOptions& opt, TaskId id,
                                        opt.max_iterations);
       break;
     case SchedPolicy::kEdf:
-      worst = edf_response_time(t.wcet, t.period, cohort, t.jitter,
+      worst = edf_response_time(t.wcet, t.period, cohort_others, t.jitter,
                                 opt.max_iterations, opt.fault_edf_undercount);
       break;
   }
@@ -198,22 +202,12 @@ Duration preemptive_response_time(Duration wcet, Duration period,
   return worst;
 }
 
-std::vector<EcuId> resources_of(const TaskGraph& g) {
-  std::set<EcuId> seen;
-  for (TaskId id = 0; id < g.num_tasks(); ++id) {
-    const EcuId e = g.task(id).ecu;
-    if (e != kNoEcu) seen.insert(e);
-  }
-  return {seen.begin(), seen.end()};
-}
-
-double resource_utilization(const TaskGraph& g, EcuId ecu) {
+double resource_utilization(const TaskGraph& g,
+                            std::span<const TaskId> cohort) {
   double u = 0.0;
-  for (TaskId id = 0; id < g.num_tasks(); ++id) {
+  for (const TaskId id : cohort) {
     const Task& t = g.task(id);
-    if (t.ecu == ecu && t.ecu != kNoEcu) {
-      u += t.wcet.ratio(t.period);
-    }
+    u += t.wcet.ratio(t.period);
   }
   return u;
 }
@@ -225,6 +219,8 @@ RtaResult analyze_response_times(const TaskGraph& g, const RtaOptions& opt) {
       obs::MetricsRegistry::global().counter("sched.rta.runs");
   static obs::Counter& tasks_analyzed =
       obs::MetricsRegistry::global().counter("sched.rta.tasks");
+  static obs::Counter& competitors =
+      obs::MetricsRegistry::global().counter("sched.rta.competitors");
   runs.add();
   tasks_analyzed.add(g.num_tasks());
 
@@ -232,9 +228,12 @@ RtaResult analyze_response_times(const TaskGraph& g, const RtaOptions& opt) {
   res.response_time.assign(g.num_tasks(), Duration::zero());
   res.schedulable.assign(g.num_tasks(), true);
 
+  const EcuIndex index(g);
+  std::uint64_t visited = 0;
   for (TaskId id = 0; id < g.num_tasks(); ++id) {
-    analyze_task_into(g, opt, id, res);
+    analyze_task_into(g, opt, index.cohort(id), id, res, visited);
   }
+  competitors.add(visited);
 
   res.all_schedulable = std::all_of(res.schedulable.begin(),
                                     res.schedulable.end(),
@@ -243,25 +242,32 @@ RtaResult analyze_response_times(const TaskGraph& g, const RtaOptions& opt) {
 }
 
 void reanalyze_response_times(const TaskGraph& g, const RtaOptions& opt,
+                              const EcuIndex& index,
                               const std::vector<TaskId>& tasks,
                               RtaResult& res) {
   CETA_EXPECTS(res.response_time.size() == g.num_tasks() &&
                    res.schedulable.size() == g.num_tasks(),
                "reanalyze_response_times: result size mismatch");
+  CETA_EXPECTS(index.num_tasks() == g.num_tasks(),
+               "reanalyze_response_times: index size mismatch");
   obs::Span span("sched", "reanalyze_response_times");
   span.arg("tasks", static_cast<std::int64_t>(tasks.size()));
   static obs::Counter& refreshes =
       obs::MetricsRegistry::global().counter("sched.rta.refreshes");
   static obs::Counter& tasks_analyzed =
       obs::MetricsRegistry::global().counter("sched.rta.tasks");
+  static obs::Counter& competitors =
+      obs::MetricsRegistry::global().counter("sched.rta.competitors");
   refreshes.add();
   tasks_analyzed.add(tasks.size());
 
+  std::uint64_t visited = 0;
   for (const TaskId id : tasks) {
     CETA_EXPECTS(id < g.num_tasks(),
                  "reanalyze_response_times: unknown task id");
-    analyze_task_into(g, opt, id, res);
+    analyze_task_into(g, opt, index.cohort(id), id, res, visited);
   }
+  competitors.add(visited);
   res.all_schedulable = std::all_of(res.schedulable.begin(),
                                     res.schedulable.end(),
                                     [](bool b) { return b; });

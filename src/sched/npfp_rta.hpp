@@ -22,10 +22,12 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/time.hpp"
 #include "graph/task_graph.hpp"
+#include "sched/ecu_index.hpp"
 
 namespace ceta {
 
@@ -72,6 +74,10 @@ using ResponseTimeMap = std::vector<Duration>;
 
 /// Run the NP-FP analysis on every resource of the graph.  The graph must
 /// pass TaskGraph::validate() except that offsets are ignored here.
+/// Builds one EcuIndex, then each task reads only its own cohort:
+/// O(V + k log k) for the index of k ECUs, then Σ_e n_e² competitor
+/// visits (n_e tasks on ECU e; counted by `sched.rta.competitors`) plus
+/// the fixpoints.
 RtaResult analyze_response_times(const TaskGraph& g,
                                  const RtaOptions& opt = {});
 
@@ -84,9 +90,13 @@ RtaResult analyze_response_times(const TaskGraph& g,
 /// corresponding entries of a full analyze_response_times() run
 /// bit-identically — both call the same per-task routine.  `res` must come
 /// from a prior analysis of a graph with the same task count;
-/// res.all_schedulable is recomputed from the updated vector.  O(Σ cohort
-/// fixpoints + V) instead of O(all fixpoints).
+/// res.all_schedulable is recomputed from the updated vector.  `index`
+/// must be the EcuIndex of a graph with the same ECU placement (the
+/// engine keeps one for its lifetime).  O(Σ_{dirty e} n_e² competitor
+/// visits + their fixpoints + V) for whole dirty cohorts, instead of a
+/// full run.
 void reanalyze_response_times(const TaskGraph& g, const RtaOptions& opt,
+                              const EcuIndex& index,
                               const std::vector<TaskId>& tasks,
                               RtaResult& res);
 
@@ -118,10 +128,9 @@ Duration preemptive_response_time(Duration wcet, Duration period,
                                   Duration own_jitter = Duration::zero(),
                                   int max_iterations = 100'000);
 
-/// Utilization Σ W/T of the tasks mapped to `ecu`.
-double resource_utilization(const TaskGraph& g, EcuId ecu);
-
-/// All distinct resources used by the graph (excluding kNoEcu).
-std::vector<EcuId> resources_of(const TaskGraph& g);
+/// Utilization Σ W/T of `cohort`, summed in the given order — pass
+/// EcuIndex::members(ecu) for the utilization of one ECU.
+double resource_utilization(const TaskGraph& g,
+                            std::span<const TaskId> cohort);
 
 }  // namespace ceta

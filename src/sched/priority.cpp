@@ -1,8 +1,9 @@
 #include "sched/priority.hpp"
 
 #include <algorithm>
-#include <map>
 #include <vector>
+
+#include "sched/ecu_index.hpp"
 
 namespace ceta {
 
@@ -11,13 +12,10 @@ namespace {
 /// Assign 0..k-1 per ECU following the order induced by `less`.
 template <typename Less>
 void assign_per_ecu(TaskGraph& g, Less less) {
-  std::map<EcuId, std::vector<TaskId>> by_ecu;
-  for (TaskId id = 0; id < g.num_tasks(); ++id) {
-    const Task& t = g.task(id);
-    if (t.ecu == kNoEcu) continue;
-    by_ecu[t.ecu].push_back(id);
-  }
-  for (auto& [ecu, ids] : by_ecu) {
+  const EcuIndex index(g);
+  for (const EcuId ecu : index.ecus()) {
+    const std::span<const TaskId> members = index.members(ecu);
+    std::vector<TaskId> ids(members.begin(), members.end());
     std::sort(ids.begin(), ids.end(), less);
     int prio = 0;
     for (TaskId id : ids) g.task(id).priority = prio++;

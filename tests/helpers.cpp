@@ -1,5 +1,7 @@
 #include "helpers.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generator.hpp"
@@ -63,6 +65,36 @@ TaskGraph diamond_graph() {
   g.add_edge(aid, did);
   g.add_edge(cid, eid);
   g.add_edge(did, eid);
+  g.validate();
+  return g;
+}
+
+TaskGraph diamond_ladder(std::size_t layers) {
+  TaskGraph g;
+  Task s;
+  s.name = "S";
+  s.period = Duration::ms(10);
+  TaskId prev = g.add_task(s);
+  EcuId next_ecu = 0;
+  auto mk = [&](const std::string& name) {
+    Task t;
+    t.name = name;
+    t.wcet = t.bcet = Duration::ms(1);
+    t.period = Duration::ms(10);
+    t.ecu = next_ecu++;
+    t.priority = 0;
+    return t;
+  };
+  for (std::size_t i = 0; i < layers; ++i) {
+    const TaskId a = g.add_task(mk("a" + std::to_string(i)));
+    const TaskId b = g.add_task(mk("b" + std::to_string(i)));
+    const TaskId j = g.add_task(mk("j" + std::to_string(i)));
+    g.add_edge(prev, a);
+    g.add_edge(prev, b);
+    g.add_edge(a, j);
+    g.add_edge(b, j);
+    prev = j;
+  }
   g.validate();
   return g;
 }

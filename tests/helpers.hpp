@@ -41,6 +41,15 @@ TaskGraph simple_chain_graph();
 /// separation 41ms, bound 40ms (shared source, T(S) = 10ms).
 TaskGraph diamond_graph();
 
+/// Stack of `layers` diamonds in series:
+///
+///   S → (a₀ | b₀) → j₀ → (a₁ | b₁) → j₁ → … → j_{layers−1}
+///
+/// 1 + 3·layers tasks, 2^layers source chains of the last junction.  Every
+/// task runs alone on its own ECU (WCRT = WCET trivially), so the fixture
+/// scales to 10⁵ tasks without a schedulability search.
+TaskGraph diamond_ladder(std::size_t layers);
+
 /// Two chains of the given per-chain length merged at a sink, WATERS
 /// parameters, random ECU mapping over `num_ecus`, rate-monotonic
 /// priorities; guaranteed schedulable (resampled until so).

@@ -25,6 +25,7 @@ namespace ceta {
 namespace {
 
 using testing::diamond_graph;
+using testing::diamond_ladder;
 using testing::random_dag_graph;
 using testing::random_two_chain_graph;
 using testing::response_times_of;
@@ -53,43 +54,6 @@ std::string combo_str(DisparityMethod m, JointTruncation tr) {
 
 // ---------------------------------------------------------------------------
 // Hand-authored fixtures
-
-/// Stack of `layers` diamonds in series:
-///
-///   S → (a₀ | b₀) → j₀ → (a₁ | b₁) → j₁ → … → j_{layers−1}
-///
-/// 1 + 3·layers tasks, 2^layers source chains of the last junction.  Every
-/// task runs alone on its own ECU (WCRT = WCET trivially), so the fixture
-/// scales to 10⁴ tasks without a schedulability search.
-TaskGraph diamond_ladder(std::size_t layers) {
-  TaskGraph g;
-  Task s;
-  s.name = "S";
-  s.period = Duration::ms(10);
-  TaskId prev = g.add_task(s);
-  EcuId next_ecu = 0;
-  auto mk = [&](const std::string& name) {
-    Task t;
-    t.name = name;
-    t.wcet = t.bcet = Duration::ms(1);
-    t.period = Duration::ms(10);
-    t.ecu = next_ecu++;
-    t.priority = 0;
-    return t;
-  };
-  for (std::size_t i = 0; i < layers; ++i) {
-    const TaskId a = g.add_task(mk("a" + std::to_string(i)));
-    const TaskId b = g.add_task(mk("b" + std::to_string(i)));
-    const TaskId j = g.add_task(mk("j" + std::to_string(i)));
-    g.add_edge(prev, a);
-    g.add_edge(prev, b);
-    g.add_edge(a, j);
-    g.add_edge(b, j);
-    prev = j;
-  }
-  g.validate();
-  return g;
-}
 
 /// Shared-source diamond with one LET branch and one buffered channel:
 /// exercises the class-I → class-L currency switch and the FIFO shift

@@ -176,10 +176,11 @@ TEST(ResourceUtilization, SumsPerEcu) {
   g.add_edge(s, t1);
   g.add_edge(t1, t2);
   g.add_edge(t2, t3);
-  EXPECT_DOUBLE_EQ(resource_utilization(g, 0), 0.45);
-  EXPECT_DOUBLE_EQ(resource_utilization(g, 1), 0.1);
-  EXPECT_DOUBLE_EQ(resource_utilization(g, 7), 0.0);
-  EXPECT_EQ(resources_of(g), (std::vector<EcuId>{0, 1}));
+  const EcuIndex ecus(g);
+  EXPECT_DOUBLE_EQ(resource_utilization(g, ecus.members(0)), 0.45);
+  EXPECT_DOUBLE_EQ(resource_utilization(g, ecus.members(1)), 0.1);
+  EXPECT_DOUBLE_EQ(resource_utilization(g, ecus.members(7)), 0.0);
+  EXPECT_EQ(ecus.ecus(), (std::vector<EcuId>{0, 1}));
 }
 
 }  // namespace
