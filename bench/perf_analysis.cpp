@@ -1,8 +1,8 @@
 // Performance microbenchmarks of the analysis path: response-time
 // analysis, chain enumeration, Theorem 1/2 pair bounds, task-level
 // disparity analysis and Algorithm 1, across graph sizes — plus the
-// AnalysisEngine facade against the free-function path (cold cache, warm
-// cache, and disparity_all at several thread counts).  After the
+// AnalysisEngine facade against the free-function path (cold and warm
+// cache).  After the
 // google-benchmark run, a manual engine-vs-free comparison on a Fig. 6
 // style workload is written to BENCH_engine.json, the pairwise kernel
 // is timed against the reference analyzer on a 256-chain diamond stack
@@ -31,7 +31,6 @@
 #include "disparity/pair_kernel.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/incremental.hpp"
-#include "engine/thread_pool.hpp"
 #include "experiments/table.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generator.hpp"
@@ -259,20 +258,6 @@ void BM_PairKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_PairKernel)->Arg(4)->Arg(6)->Arg(8);
 
-void BM_PairKernelParallel(benchmark::State& state) {
-  const TaskGraph g = diamond_stack_graph(8);
-  const RtaResult rta = analyze_response_times(g);
-  const TaskId sink = g.sinks().front();
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analyze_time_disparity_kernel(g, sink, rta.response_time, {}, &pool));
-  }
-}
-BENCHMARK(BM_PairKernelParallel)
-    ->Arg(2)
-    ->Arg(static_cast<long>(ThreadPool::default_concurrency()));
-
 void BM_PairKernelWorstOnly(benchmark::State& state) {
   // Streaming mode: worst_case without materializing the O(K²) vector.
   const TaskGraph g = diamond_stack_graph(8);
@@ -353,30 +338,6 @@ void BM_DagDpSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_DagDpSerial)->Arg(33)->Arg(333)->Arg(3333);
 
-/// DP-served sinks sharded across the engine pool: disparity_all over a
-/// sample of the ladder's junction tasks (each an independent DP run on
-/// its own ancestor cone) at 1 vs N workers.
-void BM_DagDpParallel(benchmark::State& state) {
-  const TaskGraph g = dagdp_ladder_graph(1000);
-  EngineOptions eopt;
-  eopt.num_threads = static_cast<std::size_t>(state.range(0));
-  const AnalysisEngine engine(g, eopt);
-  // Every 125th junction: 8 cones from 375 to 3000 tasks.
-  std::vector<TaskId> sample;
-  for (std::size_t i = 125; i <= 1000; i += 125) {
-    sample.push_back(static_cast<TaskId>(3 * i));  // j_{i-1}
-  }
-  const DisparityOptions opt = dagdp_options();
-  for (auto _ : state) {
-    const AnalysisEngine fresh(g, eopt);
-    benchmark::DoNotOptimize(fresh.disparity_all(sample, opt));
-  }
-  state.counters["sinks"] = static_cast<double>(sample.size());
-}
-BENCHMARK(BM_DagDpParallel)
-    ->Arg(1)
-    ->Arg(static_cast<long>(ThreadPool::default_concurrency()));
-
 // ---- AnalysisEngine vs free functions -------------------------------------
 
 /// Free-function session: RTA + task-level S-diff from scratch (what a
@@ -417,24 +378,6 @@ void BM_EngineDisparityWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDisparityWarm)->Arg(10)->Arg(20)->Arg(35);
 
-/// Batch analysis of every fusing task, serial vs 2 vs default threads.
-/// A fresh engine per iteration so every report is actually computed.
-void BM_DisparityAll(benchmark::State& state) {
-  const TaskGraph g = make_graph(35, 4);
-  EngineOptions opt;
-  opt.num_threads = static_cast<std::size_t>(state.range(0));
-  const std::vector<TaskId> tasks = AnalysisEngine(g).fusing_tasks();
-  for (auto _ : state) {
-    const AnalysisEngine engine(g, opt);
-    benchmark::DoNotOptimize(engine.disparity_all(tasks));
-  }
-  state.counters["tasks"] = static_cast<double>(tasks.size());
-}
-BENCHMARK(BM_DisparityAll)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(static_cast<long>(ThreadPool::default_concurrency()));
-
 // ---- manual engine-vs-free comparison -> BENCH_engine.json ----------------
 
 double time_ns(const std::function<void()>& fn, int iters) {
@@ -450,8 +393,8 @@ double time_ns(const std::function<void()>& fn, int iters) {
 }
 
 /// Fig. 6-style workload: the full per-instance analysis session (P-diff +
-/// S-diff of the sink) via free functions vs one engine, plus the batch
-/// path.  Writes BENCH_engine.json.
+/// S-diff of the sink) via free functions vs one engine.  Writes
+/// BENCH_engine.json.
 void write_engine_comparison(const std::string& path) {
   const TaskGraph g = make_graph(35, 1);
   const TaskId sink = g.sinks().front();
@@ -488,22 +431,6 @@ void write_engine_comparison(const std::string& path) {
   const double engine_warm_ns = time_ns(
       [&] { benchmark::DoNotOptimize(warm.disparity(sink)); }, kIters);
 
-  const std::vector<TaskId> tasks = warm.fusing_tasks();
-  auto batch_ns = [&](std::size_t threads) {
-    EngineOptions opt;
-    opt.num_threads = threads;
-    return time_ns(
-        [&] {
-          const AnalysisEngine engine(g, opt);
-          benchmark::DoNotOptimize(engine.disparity_all(tasks));
-        },
-        10);
-  };
-  const double batch1 = batch_ns(1);
-  const double batch2 = batch_ns(2);
-  const std::size_t n_default = ThreadPool::default_concurrency();
-  const double batchn = batch_ns(n_default);
-
   bench::write_json_file(path, [&](obs::JsonWriter& w) {
     w.member("bench", "engine_vs_free")
         .member("graph_tasks", static_cast<std::int64_t>(g.num_tasks()))
@@ -513,15 +440,6 @@ void write_engine_comparison(const std::string& path) {
         .member("free_single_ns", free_single_ns)
         .member("engine_warm_ns", engine_warm_ns)
         .member("warm_speedup", free_single_ns / engine_warm_ns);
-    w.key("disparity_all").begin_object();
-    w.member("tasks", static_cast<std::int64_t>(tasks.size()))
-        .member("threads_1_ns", batch1)
-        .member("threads_2_ns", batch2)
-        .member("threads_default", static_cast<std::int64_t>(n_default))
-        .member("threads_default_ns", batchn)
-        .member("speedup_2", batch1 / batch2)
-        .member("speedup_default", batch1 / batchn);
-    w.end_object();
     // The warm engine's cache counters plus the process-wide registry
     // (RTA runs, hop-bound computations, ... of the whole bench run).
     bench::write_metrics_member(w, "engine_metrics", warm.metrics());
@@ -550,8 +468,7 @@ bool reports_identical(const DisparityReport& a, const DisparityReport& b) {
   return true;
 }
 
-/// Reference analyzer vs the pairwise kernel (serial and parallel) on a
-/// 256-chain diamond stack, cross-checked bit-for-bit.  Writes
+/// Reference analyzer vs the pairwise kernel on a 256-chain diamond stack, cross-checked bit-for-bit.  Writes
 /// BENCH_pairwise.json; returns false on any kernel-vs-reference
 /// divergence (perf_smoke and main() turn that into a failure).
 bool write_pairwise_comparison(const std::string& path) {
@@ -564,7 +481,7 @@ bool write_pairwise_comparison(const std::string& path) {
   const DisparityOptions opt;  // S-diff, last-joint truncation, keep all
   constexpr int kIters = 3;
 
-  DisparityReport ref, ker, par;
+  DisparityReport ref, ker;
   const double reference_ns = time_ns(
       [&] { ref = analyze_time_disparity(g, sink, rta.response_time, opt); },
       kIters);
@@ -573,14 +490,7 @@ bool write_pairwise_comparison(const std::string& path) {
         ker = analyze_time_disparity_kernel(g, sink, rta.response_time, opt);
       },
       kIters);
-  ThreadPool pool(ThreadPool::default_concurrency());
-  const double kernel_parallel_ns = time_ns(
-      [&] {
-        par = analyze_time_disparity_kernel(g, sink, rta.response_time, opt,
-                                            &pool);
-      },
-      kIters);
-  const bool match = reports_identical(ref, ker) && reports_identical(ref, par);
+  const bool match = reports_identical(ref, ker);
 
   bench::write_json_file(path, [&](obs::JsonWriter& w) {
     w.member("bench", "pairwise_kernel_vs_reference")
@@ -592,16 +502,11 @@ bool write_pairwise_comparison(const std::string& path) {
         .member("reference_ns", reference_ns)
         .member("kernel_ns", kernel_ns)
         .member("speedup", reference_ns / kernel_ns)
-        .member("kernel_parallel_ns", kernel_parallel_ns)
-        .member("threads", static_cast<std::int64_t>(pool.size()))
-        .member("parallel_speedup", reference_ns / kernel_parallel_ns)
         .member("match", match);
   });
   std::cout << "pairwise kernel comparison written to " << path << " ("
             << chains << " chains, speedup: " << reference_ns / kernel_ns
-            << "x serial, " << reference_ns / kernel_parallel_ns << "x with "
-            << pool.size() << " threads, match: "
-            << (match ? "true" : "false") << ")\n";
+            << "x, match: " << (match ? "true" : "false") << ")\n";
   return match;
 }
 
@@ -610,8 +515,7 @@ bool write_pairwise_comparison(const std::string& path) {
 /// DP backend vs the enumerating kernel: worst-pair agreement is checked
 /// bit-for-bit on an enumerable 256-chain diamond stack, then the DP's
 /// throughput is recorded on a 10⁴-task ladder (2^3333 chains — beyond
-/// any enumeration cap, and beyond size_t) serially and with DP-served
-/// sinks sharded across the engine pool.  Writes BENCH_dagdp.json;
+/// any enumeration cap, and beyond size_t).  Writes BENCH_dagdp.json;
 /// returns false on any DP-vs-kernel divergence (perf_smoke and main()
 /// turn that into a failure).
 bool write_dagdp_comparison(const std::string& path) {
@@ -644,26 +548,6 @@ bool write_dagdp_comparison(const std::string& path) {
   const double tasks_per_sec =
       static_cast<double>(g.num_tasks()) / (serial_ns * 1e-9);
 
-  // Batch: 8 junction cones via disparity_all, 1 thread vs default.
-  std::vector<TaskId> sample;
-  for (std::size_t i = 416; i <= kLayers; i += 416) {
-    sample.push_back(static_cast<TaskId>(3 * i));
-  }
-  auto batch_ns = [&](std::size_t threads) {
-    EngineOptions eopt;
-    eopt.num_threads = threads;
-    const AnalysisEngine engine(g, eopt);
-    return time_ns(
-        [&] {
-          const AnalysisEngine fresh(g, eopt);
-          benchmark::DoNotOptimize(fresh.disparity_all(sample, opt));
-        },
-        2);
-  };
-  const double batch1 = batch_ns(1);
-  const std::size_t n_default = ThreadPool::default_concurrency();
-  const double batchn = batch_ns(n_default);
-
   bench::write_json_file(path, [&](obs::JsonWriter& w) {
     w.member("bench", "dagdp_vs_enumeration")
         .member("agreement_chains",
@@ -675,18 +559,11 @@ bool write_dagdp_comparison(const std::string& path) {
                 static_cast<std::int64_t>(huge.worst_case.count()))
         .member("exact", huge.exact)
         .member("serial_ns", serial_ns)
-        .member("tasks_per_sec", tasks_per_sec)
-        .member("batch_sinks", static_cast<std::int64_t>(sample.size()))
-        .member("batch_threads_1_ns", batch1)
-        .member("threads_default", static_cast<std::int64_t>(n_default))
-        .member("batch_threads_default_ns", batchn)
-        .member("parallel_speedup", batch1 / batchn);
+        .member("tasks_per_sec", tasks_per_sec);
   });
   std::cout << "dag-dp comparison written to " << path << " ("
             << g.num_tasks() << " tasks, " << tasks_per_sec
-            << " tasks/sec serial, batch speedup: " << batch1 / batchn
-            << "x with " << n_default << " threads, match: "
-            << (match ? "true" : "false") << ")\n";
+            << " tasks/sec, match: " << (match ? "true" : "false") << ")\n";
   return match;
 }
 

@@ -213,16 +213,13 @@ int main(int argc, char** argv) {
   std::cout << "\nWorst-case time disparity (fusing tasks):\n";
   ConsoleTable disp({"task", "chains", "P-diff", "S-diff", "optimized",
                      "buffers"});
-  // All fusing tasks are analyzed as one batch over the engine's thread
-  // pool; the P-diff pass reuses the same cached chain bounds.
+  // The P-diff and S-diff passes share the engine's cached chain bounds.
   const std::vector<TaskId> fusing = engine.fusing_tasks();
   DisparityOptions popt;
   popt.method = DisparityMethod::kIndependent;
-  const std::vector<DisparityReport> preports =
-      engine.disparity_all(fusing, popt);
-  const std::vector<DisparityReport> sreports = engine.disparity_all(fusing);
-  for (std::size_t i = 0; i < fusing.size(); ++i) {
-    const TaskId id = fusing[i];
+  for (const TaskId id : fusing) {
+    const DisparityReport preport = engine.disparity(id, popt);
+    const DisparityReport sreport = engine.disparity(id);
     const MultiBufferDesign d = engine.optimize_buffers(id);
     std::string buffers;
     for (const ChannelBuffer& cb : d.channels) {
@@ -231,9 +228,8 @@ int main(int argc, char** argv) {
                  std::to_string(cb.buffer_size);
     }
     if (buffers.empty()) buffers = "-";
-    disp.add_row({g.task(id).name, std::to_string(sreports[i].chains.size()),
-                  to_string(preports[i].worst_case),
-                  to_string(sreports[i].worst_case),
+    disp.add_row({g.task(id).name, std::to_string(sreport.chains.size()),
+                  to_string(preport.worst_case), to_string(sreport.worst_case),
                   to_string(d.optimized_bound), buffers});
   }
   if (!fusing.empty()) {

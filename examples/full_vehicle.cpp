@@ -203,15 +203,12 @@ int main(int argc, char** argv) {
   std::cout << "\n  max data age: " << to_string(lat.max_data_age)
             << ", max reaction: " << to_string(lat.max_reaction_time) << '\n';
 
-  // Disparity at every fusion point, analyzed as one batch over the
-  // engine's thread pool.
-  const std::vector<TaskId> fusing = engine.fusing_tasks();
-  const std::vector<DisparityReport> reps = engine.disparity_all(fusing);
+  // Disparity at every fusion point.
   ConsoleTable disp({"task", "chains", "S-diff"});
-  for (std::size_t i = 0; i < fusing.size(); ++i) {
-    disp.add_row({sys.task(fusing[i]).name,
-                  std::to_string(reps[i].chains.size()),
-                  to_string(reps[i].worst_case)});
+  for (const TaskId t : engine.fusing_tasks()) {
+    const DisparityReport rep = engine.disparity(t);
+    disp.add_row({sys.task(t).name, std::to_string(rep.chains.size()),
+                  to_string(rep.worst_case)});
   }
   std::cout << "\nWorst-case time disparity (all fusion points):\n";
   disp.print(std::cout);

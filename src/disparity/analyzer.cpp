@@ -31,8 +31,9 @@ Duration pdiff_from_bounds(const TaskGraph& g, const Path& a, const Path& b,
 /// Theorem 1 and truncation is the identity.  One mark-vector pass,
 /// O(|a|+|b|): stamp b's tasks, count how many of a's are stamped.  The
 /// stamp buffer is versioned and thread_local, so the analyzer's hot
-/// O(|P|²) pair loop neither allocates nor clears per pair (and stays
-/// safe under disparity_all's concurrent per-sink workers).
+/// O(|P|²) pair loop neither allocates nor clears per pair, and stays safe
+/// when concurrent readers of one shared session engine (cetad workers)
+/// analyze at the same time.
 bool structure_free(const Path& a, const Path& b) {
   if (a.front() == b.front()) return false;
   thread_local std::vector<std::uint32_t> stamp;

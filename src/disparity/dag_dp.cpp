@@ -658,21 +658,16 @@ DisparityReport analyze_time_disparity_dag_dp(const TaskGraph& g, TaskId task,
   return r;
 }
 
-DisparityReport analyze_time_disparity_backend(const TaskGraph& g, TaskId task,
-                                               const ResponseTimeMap& rtm,
-                                               const DisparityOptions& opt,
-                                               ThreadPool* pool,
-                                               const DagDpOptions& dp) {
-  opt.validate();
+DisparityReport route_disparity_backend(
+    const TaskGraph& g, TaskId task, const ResponseTimeMap& rtm,
+    const DisparityOptions& opt, const DagDpOptions& dp,
+    const std::function<DisparityReport()>& enumerate) {
   static obs::Counter& fallbacks =
       obs::MetricsRegistry::global().counter("disparity.dagdp.fallbacks");
-  if (opt.backend == DisparityBackend::kEnumerate) {
-    return analyze_time_disparity_kernel(g, task, rtm, opt, pool);
-  }
+  if (opt.backend == DisparityBackend::kEnumerate) return enumerate();
   if (opt.backend == DisparityBackend::kAuto) {
-    const ChainCount cc = count_source_chains_checked(g, task);
-    if (!cc.exceeds(opt.path_cap)) {
-      return analyze_time_disparity_kernel(g, task, rtm, opt, pool);
+    if (!count_source_chains_checked(g, task).exceeds(opt.path_cap)) {
+      return enumerate();
     }
     return analyze_time_disparity_dag_dp(g, task, rtm, opt, dp);
   }
@@ -684,9 +679,19 @@ DisparityReport analyze_time_disparity_backend(const TaskGraph& g, TaskId task,
       !ChainCount{r.chain_count, r.chain_count_saturated}.exceeds(
           opt.path_cap)) {
     fallbacks.add();
-    return analyze_time_disparity_kernel(g, task, rtm, opt, pool);
+    return enumerate();
   }
   return r;
+}
+
+DisparityReport analyze_time_disparity_backend(const TaskGraph& g, TaskId task,
+                                               const ResponseTimeMap& rtm,
+                                               const DisparityOptions& opt,
+                                               const DagDpOptions& dp) {
+  opt.validate();
+  return route_disparity_backend(g, task, rtm, opt, dp, [&] {
+    return analyze_time_disparity_kernel(g, task, rtm, opt);
+  });
 }
 
 }  // namespace ceta

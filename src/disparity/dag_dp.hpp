@@ -45,14 +45,13 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 
 #include "disparity/analyzer.hpp"
 #include "graph/paths.hpp"
 #include "sched/npfp_rta.hpp"
 
 namespace ceta {
-
-class ThreadPool;
 
 /// Tuning knobs (and the test-only fault hook) of the DP backend.
 struct DagDpOptions {
@@ -88,19 +87,28 @@ DisparityReport analyze_time_disparity_dag_dp(const TaskGraph& g, TaskId task,
                                               const DisparityOptions& opt = {},
                                               const DagDpOptions& dp = {});
 
-/// The backend-routing front door implementing DisparityBackend semantics
-/// (AnalysisEngine::disparity routes identically through its caches):
-///  - kEnumerate: the pairwise kernel; CapacityError beyond path_cap.
-///  - kAuto: the kernel when the (overflow-checked) chain count fits
+/// The one DisparityBackend router, shared by
+/// analyze_time_disparity_backend and AnalysisEngine::disparity:
+///  - kEnumerate: `enumerate()`; CapacityError beyond path_cap.
+///  - kAuto: `enumerate()` when the (overflow-checked) chain count fits
 ///    under path_cap, the DP otherwise — never throws CapacityError.
 ///  - kDagDp: the DP, except that when its result would be inexact and
-///    the instance is enumerable the kernel serves the query instead
-///    (the report's `backend` field records which one ran).
-/// `pool` parallelizes the kernel's pair reduction when enumeration runs.
+///    the instance is enumerable `enumerate()` serves the query instead
+///    (the report's `backend` field records which one ran) and the
+///    global `disparity.dagdp.fallbacks` counter is bumped.
+/// `enumerate` runs the pairwise kernel on `task`'s source chains; the
+/// free front door enumerates them, the engine passes its memoized set.
+DisparityReport route_disparity_backend(
+    const TaskGraph& g, TaskId task, const ResponseTimeMap& rtm,
+    const DisparityOptions& opt, const DagDpOptions& dp,
+    const std::function<DisparityReport()>& enumerate);
+
+/// The backend-routing front door: validates `opt`, then
+/// route_disparity_backend with analyze_time_disparity_kernel as the
+/// enumerating backend.
 DisparityReport analyze_time_disparity_backend(const TaskGraph& g, TaskId task,
                                                const ResponseTimeMap& rtm,
                                                const DisparityOptions& opt = {},
-                                               ThreadPool* pool = nullptr,
                                                const DagDpOptions& dp = {});
 
 }  // namespace ceta

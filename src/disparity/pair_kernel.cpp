@@ -1,14 +1,12 @@
 #include "disparity/pair_kernel.hpp"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "disparity/pairwise.hpp"
-#include "engine/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
@@ -143,7 +141,7 @@ BackwardBounds SuffixBoundTable::bounds(std::size_t first,
 
 namespace {
 
-/// Read-only per-analysis context shared by all tiles.
+/// Read-only per-analysis context.
 struct KernelState {
   const TaskGraph& g;
   const ResponseTimeMap& rtm;
@@ -154,9 +152,8 @@ struct KernelState {
   std::vector<BackwardBounds> full;    // == backward_bounds per chain
 };
 
-/// Mutable per-tile workspace: versioned stamp buffers (no clearing per
-/// pair), decomposition scratch, and the truncation-dedup memo.  Each tile
-/// owns one, so the parallel reduction shares nothing mutable.
+/// Mutable per-analysis workspace: versioned stamp buffers (no clearing
+/// per pair), decomposition scratch, and the truncation-dedup memo.
 struct PairScratch {
   explicit PairScratch(std::size_t num_tasks)
       : stamp(num_tasks, 0), pos(num_tasks, 0) {}
@@ -170,7 +167,6 @@ struct PairScratch {
   ChainArena arena;                 // interned truncated prefixes
   std::unordered_map<std::uint64_t, Duration> memo;
   std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
 
   void bump_version() {
     if (++version == 0) {
@@ -360,7 +356,6 @@ Duration kernel_pair_bound(const KernelState& st, std::size_t i,
     ++s.memo_hits;
     truncated = it->second;
   } else {
-    ++s.memo_misses;
     truncated = truncated_pair_bound(st, i, j, la, lb, s);
     s.memo.emplace(key, truncated);
   }
@@ -379,73 +374,11 @@ bool pair_better(const PairDisparity& p, const PairDisparity& q) {
   return p.chain_b < q.chain_b;
 }
 
-struct RangeResult {
-  Duration worst = Duration::zero();
-  /// Kept pairs when streaming (kWorstOnly: <= 1 entry; kTopK: <= top_k,
-  /// heap-ordered until the final merge sorts).  Unused under kAll.
-  std::vector<PairDisparity> kept;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-};
-
-/// Analyze the flat pair range [lo, hi) (row-major (i, j), i < j).  Under
-/// kAll, bounds land in `slots` at their flat index — tiles touch disjoint
-/// ranges of the shared vector.  Otherwise the range streams into a local
-/// accumulator.  `row_start[i]` is the flat index of pair (i, i+1).
-RangeResult analyze_range(const KernelState& st,
-                          const std::vector<std::size_t>& row_start,
-                          std::size_t lo, std::size_t hi,
-                          std::vector<PairDisparity>* slots) {
-  RangeResult out;
-  if (lo >= hi) return out;
-  PairScratch scratch(st.g.num_tasks());
-  const std::size_t n = st.chains.size();
-  // Row containing `lo`: the last i with row_start[i] <= lo.
-  std::size_t i = static_cast<std::size_t>(
-      std::upper_bound(row_start.begin(), row_start.end(), lo) -
-      row_start.begin() - 1);
-  std::size_t j = i + 1 + (lo - row_start[i]);
-  const KeepPairs mode = st.opt.keep_pairs;
-  const std::size_t top_k = st.opt.top_k;
-  // Max-heap by "worseness" so the evictable element sits on top.
-  const auto heap_cmp = pair_better;
-  for (std::size_t f = lo; f < hi; ++f) {
-    const Duration bound = kernel_pair_bound(st, i, j, scratch);
-    const PairDisparity pair{i, j, bound};
-    out.worst = std::max(out.worst, bound);
-    if (slots != nullptr) {
-      (*slots)[f] = pair;
-    } else if (mode == KeepPairs::kWorstOnly) {
-      if (out.kept.empty()) {
-        out.kept.push_back(pair);
-      } else if (pair_better(pair, out.kept.front())) {
-        out.kept.front() = pair;
-      }
-    } else if (top_k > 0) {  // kTopK
-      if (out.kept.size() < top_k) {
-        out.kept.push_back(pair);
-        std::push_heap(out.kept.begin(), out.kept.end(), heap_cmp);
-      } else if (pair_better(pair, out.kept.front())) {
-        std::pop_heap(out.kept.begin(), out.kept.end(), heap_cmp);
-        out.kept.back() = pair;
-        std::push_heap(out.kept.begin(), out.kept.end(), heap_cmp);
-      }
-    }
-    if (++j == n) {
-      ++i;
-      j = i + 1;
-    }
-  }
-  out.memo_hits = scratch.memo_hits;
-  out.memo_misses = scratch.memo_misses;
-  return out;
-}
-
 }  // namespace
 
 DisparityReport pair_kernel_analyze(
     const TaskGraph& g, const std::vector<Path>& chains,
-    const ResponseTimeMap& rtm, const DisparityOptions& opt, ThreadPool* pool,
+    const ResponseTimeMap& rtm, const DisparityOptions& opt,
     const std::vector<BackwardBounds>* full_bounds) {
   obs::Span span("disparity", "pair_kernel");
   static obs::Counter& runs =
@@ -486,85 +419,48 @@ DisparityReport pair_kernel_analyze(
   pairs_counter.add(total);
   if (total == 0) return report;
 
-  // row_start[i] = flat index of pair (i, i+1); sentinel at n.
-  std::vector<std::size_t> row_start(n + 1, 0);
+  // One pass over the pairs (i < j, row-major).  kAll keeps every pair in
+  // that order; kWorstOnly streams the best pair; kTopK keeps a max-heap by
+  // "worseness" of at most top_k pairs, so the evictable one sits on top.
+  PairScratch scratch(g.num_tasks());
+  std::vector<PairDisparity>& kept = report.pairs;
+  if (opt.keep_pairs == KeepPairs::kAll) kept.reserve(total);
   for (std::size_t i = 0; i < n; ++i) {
-    row_start[i + 1] = row_start[i] + (n - 1 - i);
-  }
-
-  std::vector<PairDisparity>* slots = nullptr;
-  if (opt.keep_pairs == KeepPairs::kAll) {
-    report.pairs.resize(total);
-    slots = &report.pairs;
-  }
-
-  // Tile the flat pair range over the pool.  Tiles are merged in tile
-  // order with order-independent operators (max; ranked selection with a
-  // total tie-break order), so the result is bit-identical to the serial
-  // pass regardless of worker count or scheduling.
-  constexpr std::size_t kMinTilePairs = 64;
-  std::size_t num_tiles = 1;
-  if (pool != nullptr && pool->size() > 1 &&
-      !ThreadPool::current_thread_in_pool() && total >= 2 * kMinTilePairs) {
-    const std::size_t by_work = total / kMinTilePairs;
-    num_tiles = std::min(by_work, pool->size() * 4);
-    num_tiles = std::max<std::size_t>(num_tiles, 1);
-  }
-
-  std::vector<RangeResult> results;
-  if (num_tiles <= 1) {
-    results.push_back(analyze_range(st, row_start, 0, total, slots));
-  } else {
-    span.arg("tiles", static_cast<std::int64_t>(num_tiles));
-    std::vector<std::future<RangeResult>> futures;
-    futures.reserve(num_tiles);
-    const std::size_t tile = (total + num_tiles - 1) / num_tiles;
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      const std::size_t lo = t * tile;
-      const std::size_t hi = std::min(total, lo + tile);
-      futures.push_back(pool->submit([&st, &row_start, lo, hi, slots] {
-        return analyze_range(st, row_start, lo, hi, slots);
-      }));
-    }
-    results.reserve(num_tiles);
-    for (auto& f : futures) results.push_back(f.get());
-  }
-
-  std::uint64_t memo_hits = 0;
-  for (const RangeResult& r : results) {
-    report.worst_case = std::max(report.worst_case, r.worst);
-    memo_hits += r.memo_hits;
-  }
-  memo_hit_counter.add(memo_hits);
-
-  if (opt.keep_pairs == KeepPairs::kWorstOnly) {
-    const PairDisparity* best = nullptr;
-    for (const RangeResult& r : results) {
-      for (const PairDisparity& p : r.kept) {
-        if (best == nullptr || pair_better(p, *best)) best = &p;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const PairDisparity pair{i, j, kernel_pair_bound(st, i, j, scratch)};
+      report.worst_case = std::max(report.worst_case, pair.bound);
+      if (opt.keep_pairs == KeepPairs::kAll) {
+        kept.push_back(pair);
+      } else if (opt.keep_pairs == KeepPairs::kWorstOnly) {
+        if (kept.empty()) {
+          kept.push_back(pair);
+        } else if (pair_better(pair, kept.front())) {
+          kept.front() = pair;
+        }
+      } else if (kept.size() < opt.top_k) {
+        kept.push_back(pair);
+        std::push_heap(kept.begin(), kept.end(), pair_better);
+      } else if (pair_better(pair, kept.front())) {
+        std::pop_heap(kept.begin(), kept.end(), pair_better);
+        kept.back() = pair;
+        std::push_heap(kept.begin(), kept.end(), pair_better);
       }
     }
-    if (best != nullptr) report.pairs.push_back(*best);
-  } else if (opt.keep_pairs == KeepPairs::kTopK) {
-    for (RangeResult& r : results) {
-      report.pairs.insert(report.pairs.end(), r.kept.begin(), r.kept.end());
-    }
-    // Per-tile top-k of the union == global top-k: anything a tile evicted
-    // was beaten by >= top_k pairs within that very tile.
-    std::sort(report.pairs.begin(), report.pairs.end(), pair_better);
-    report.pairs.resize(std::min(opt.top_k, report.pairs.size()));
   }
+  if (opt.keep_pairs == KeepPairs::kTopK) {
+    std::sort(kept.begin(), kept.end(), pair_better);
+  }
+  memo_hit_counter.add(scratch.memo_hits);
   return report;
 }
 
 DisparityReport analyze_time_disparity_kernel(const TaskGraph& g, TaskId task,
                                               const ResponseTimeMap& rtm,
-                                              const DisparityOptions& opt,
-                                              ThreadPool* pool) {
+                                              const DisparityOptions& opt) {
   CETA_EXPECTS(task < g.num_tasks(), "analyze_time_disparity: bad task id");
   const std::vector<Path> chains =
       enumerate_source_chains(g, task, opt.path_cap);
-  return pair_kernel_analyze(g, chains, rtm, opt, pool);
+  return pair_kernel_analyze(g, chains, rtm, opt);
 }
 
 }  // namespace ceta

@@ -19,8 +19,7 @@
 //     buffers, no per-pair Path copies) and the truncated-pair bound is
 //     memoized on the interned id pair.
 //
-// The K² pair loop is additionally tiled over a ThreadPool with per-tile
-// accumulators merged deterministically, and DisparityOptions::keep_pairs
+// The K² pair loop is one serial pass, and DisparityOptions::keep_pairs
 // selects how much of the O(K²) pair vector is materialized.  Results are
 // bit-identical to the reference analyzer in every mode (verified by
 // verify::Property::kPairKernelMatchesReference and tests/
@@ -40,8 +39,6 @@
 #include "sched/npfp_rta.hpp"
 
 namespace ceta {
-
-class ThreadPool;
 
 /// Non-owning view of an interned (or caller-owned) chain.  Views returned
 /// by ChainArena stay valid for the arena's lifetime; views over a Path
@@ -131,13 +128,10 @@ class SuffixBoundTable {
 };
 
 /// Analyze `task` with the kernel; bit-identical to analyze_time_disparity
-/// with the same options.  `pool` enables the intra-sink parallel
-/// reduction (nullptr or a 1-worker pool runs serially; results do not
-/// depend on the choice).
+/// with the same options.
 DisparityReport analyze_time_disparity_kernel(const TaskGraph& g, TaskId task,
                                               const ResponseTimeMap& rtm,
-                                              const DisparityOptions& opt = {},
-                                              ThreadPool* pool = nullptr);
+                                              const DisparityOptions& opt = {});
 
 /// Kernel core over a pre-enumerated chain set (the engine passes its
 /// memoized set and full-chain bounds; `full_bounds`, when given, must
@@ -146,7 +140,6 @@ DisparityReport analyze_time_disparity_kernel(const TaskGraph& g, TaskId task,
 DisparityReport pair_kernel_analyze(
     const TaskGraph& g, const std::vector<Path>& chains,
     const ResponseTimeMap& rtm, const DisparityOptions& opt,
-    ThreadPool* pool = nullptr,
     const std::vector<BackwardBounds>* full_bounds = nullptr);
 
 }  // namespace ceta

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -14,7 +13,6 @@
 #include "common/interval.hpp"
 #include "disparity/dag_dp.hpp"
 #include "disparity/pair_kernel.hpp"
-#include "engine/thread_pool.hpp"
 #include "graph/algorithms.hpp"
 #include "obs/tracer.hpp"
 
@@ -133,7 +131,7 @@ AnalysisEngine::AnalysisEngine(const AnalysisEngine& other, CloneTag)
     chain_set_cache_.emplace(key, std::make_unique<ChainSetEntry>(*entry));
   }
   // Deliberately not copied: metrics_/ins_ (fresh, zeroed registry — cache
-  // statistics never bleed across engines), pool_ (lazy) and
+  // statistics never bleed across engines) and
   // commit_observer_ (observers are per-engine wiring).
 }
 
@@ -412,59 +410,28 @@ DisparityReport AnalysisEngine::disparity(TaskId task,
   span.arg("cache", stale ? "stale" : "miss");
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Backend routing, mirroring analyze_time_disparity_backend: kDagDp runs
-  // the DP (falling back to enumeration only when exactness demands it and
-  // the instance fits under path_cap); kAuto checks the overflow-safe
-  // chain count and degrades dense sinks to the DP instead of throwing
-  // CapacityError.  The DP reads graph_ and response_times() only — both
-  // inputs are covered by report_epoch_, so the cache/invalidation
-  // machinery is untouched.
-  bool use_dp = opt.backend == DisparityBackend::kDagDp;
-  if (opt.backend == DisparityBackend::kAuto) {
-    use_dp = count_source_chains_checked(graph_, task).exceeds(opt.path_cap);
-  }
-  std::shared_ptr<const DisparityReport> report;
-  if (use_dp) {
-    DisparityReport dp_report =
-        analyze_time_disparity_dag_dp(graph_, task, response_times(), opt);
-    if (opt.backend == DisparityBackend::kDagDp && !dp_report.exact &&
-        !ChainCount{dp_report.chain_count, dp_report.chain_count_saturated}
-             .exceeds(opt.path_cap)) {
-      use_dp = false;  // exact enumeration fallback below
-    } else {
-      span.arg("backend", "dag_dp");
-      report =
-          std::make_shared<const DisparityReport>(std::move(dp_report));
-    }
-  }
-  if (!use_dp) {
-    // The pairwise kernel (disparity/pair_kernel.hpp) does the O(|P|²)
-    // work, bit-identically to analyze_time_disparity; the engine supplies
-    // its memoized chain set and full-chain bounds (so the chain-bound
-    // cache keeps amortizing across hop methods and later latency queries)
-    // and, when the pair count warrants it, its thread pool for the
-    // intra-sink tiled reduction.  Never hand the pool over from inside
-    // one of its own workers (disparity_all's per-sink jobs): with no work
-    // stealing, tiles queued behind blocked workers would deadlock.  The
-    // chain-set and chain-bound reads are uncounted plumbing of this one
-    // logical report lookup (see metrics()).
-    const std::vector<Path>& chain_list =
-        chains_impl(task, opt.path_cap, /*counted=*/false);
-    const std::size_t n = chain_list.size();
-    std::vector<BackwardBounds> full;
-    full.reserve(n);
-    for (const Path& c : chain_list) {
-      full.push_back(chain_bounds_impl(c, opt.hop_method, /*counted=*/false));
-    }
-    ThreadPool* tile_pool = nullptr;
-    const std::size_t total_pairs = n < 2 ? 0 : n * (n - 1) / 2;
-    if (opt_.num_threads != 1 && total_pairs >= 128 &&
-        !ThreadPool::current_thread_in_pool()) {
-      tile_pool = &pool();
-    }
-    report = std::make_shared<const DisparityReport>(
-        pair_kernel_analyze(graph_, chain_list, response_times(), opt,
-                            tile_pool, &full));
+  // The routing of analyze_time_disparity_backend, with the pairwise
+  // kernel (disparity/pair_kernel.hpp) fed the engine's memoized chain set
+  // and full-chain bounds, so the chain-bound cache keeps amortizing
+  // across hop methods and later latency queries.  The DP reads graph_ and
+  // response_times() only — both inputs are covered by report_epoch_.  The
+  // chain-set and chain-bound reads are uncounted plumbing of this one
+  // logical report lookup (see metrics()).
+  const ResponseTimeMap& rtm = response_times();
+  auto report = std::make_shared<const DisparityReport>(
+      route_disparity_backend(graph_, task, rtm, opt, DagDpOptions{}, [&] {
+        const std::vector<Path>& chain_list =
+            chains_impl(task, opt.path_cap, /*counted=*/false);
+        std::vector<BackwardBounds> full;
+        full.reserve(chain_list.size());
+        for (const Path& c : chain_list) {
+          full.push_back(
+              chain_bounds_impl(c, opt.hop_method, /*counted=*/false));
+        }
+        return pair_kernel_analyze(graph_, chain_list, rtm, opt, &full);
+      }));
+  if (report->backend == DisparityBackend::kDagDp) {
+    span.arg("backend", "dag_dp");
   }
 
   ins_.disparity_compute.observe(elapsed_since(t0));
@@ -480,48 +447,6 @@ DisparityReport AnalysisEngine::disparity(TaskId task,
   // A concurrent caller inserted a fresh entry meanwhile; serve it.
   ins_.report_hits.add();
   return *it->second.value;
-}
-
-ThreadPool& AnalysisEngine::pool() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (!pool_) {
-    const std::size_t n = opt_.num_threads == 0
-                              ? ThreadPool::default_concurrency()
-                              : opt_.num_threads;
-    pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return *pool_;
-}
-
-std::vector<DisparityReport> AnalysisEngine::disparity_all(
-    const std::vector<TaskId>& tasks, const DisparityOptions& opt) const {
-  obs::Span span("engine", "disparity_all");
-  span.arg("tasks", static_cast<std::int64_t>(tasks.size()));
-  std::vector<DisparityReport> out(tasks.size());
-  const std::size_t threads = opt_.num_threads == 0
-                                  ? ThreadPool::default_concurrency()
-                                  : opt_.num_threads;
-  if (threads <= 1 || tasks.size() < 2) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      out[i] = disparity(tasks[i], opt);
-    }
-    return out;
-  }
-
-  // Fan each task out as one unit; results land positionally so the output
-  // is independent of completion order.  Worker exceptions (CapacityError
-  // on a dense sink, ...) surface at get(), like in the serial loop.
-  ThreadPool& p = pool();
-  std::vector<std::future<DisparityReport>> results;
-  results.reserve(tasks.size());
-  for (const TaskId task : tasks) {
-    results.push_back(
-        p.submit([this, task, &opt] { return disparity(task, opt); }));
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    out[i] = results[i].get();
-  }
-  return out;
 }
 
 LatencyReport AnalysisEngine::latency(const Path& chain,

@@ -19,7 +19,7 @@
 //   engine.disparity(sink);                          // Theorem 1/2 analyzer
 //   engine.latency(chain);                           // data age / reaction
 //   engine.optimize_buffers(sink);                   // §IV buffer design
-//   engine.disparity_all(engine.fusing_tasks());     // parallel batch
+//   for (TaskId t : engine.fusing_tasks()) engine.disparity(t);  // batch
 //
 // The graph is mutable *through the engine only*: the mutation API
 // (set_period .. remove_edge, batched by Transaction) edits the owned copy
@@ -37,11 +37,11 @@
 // the free functions remain the single source of truth for the math, the
 // engine only decides *when* to evaluate and remember it.  The one design
 // loop defined here, optimize_buffers, composes those memoized queries
-// with a re-analysis of a buffered graph copy.  All query methods are
-// const and safe to call from several threads; disparity_all fans
-// independent tasks out over a fixed-size internal thread pool
-// (thread_pool.hpp) and is verified bit-identical to the serial loop
-// (tests/test_engine_parallel.cpp).
+// with a re-analysis of a buffered graph copy.  Every query runs on the
+// calling thread.  All query methods are const and safe to call from
+// several threads at once (cetad workers share one session engine); the
+// caches are mutex-guarded and concurrent readers get results
+// bit-identical to a serial run (tests/test_engine_parallel.cpp).
 // Mutations are NOT safe against concurrent queries: a commit assumes
 // exclusive access to the engine, like non-const methods of standard
 // containers.
@@ -67,13 +67,11 @@
 
 namespace ceta {
 
-class ThreadPool;
-
 struct EngineOptions {
   /// Options for the engine-owned response-time analysis (ignored when an
   /// external ResponseTimeMap is supplied at construction).
   RtaOptions rta;
-  /// Worker threads for disparity_all; 0 = ThreadPool::default_concurrency().
+  /// No effect; kept only so existing callers compile.
   std::size_t num_threads = 0;
   /// TEST ONLY — deliberately skip the edge-epoch bump of buffer-resize
   /// mutations, leaving chain-bound entries over the resized channel
@@ -101,7 +99,7 @@ class AnalysisEngine {
   /// on first use.
   /// @param graph  Analyzed graph; copied, later edits via the mutation
   ///   API only.
-  /// @param opt    Engine configuration (RTA options, pool size).
+  /// @param opt    Engine configuration (RTA options).
   /// Complexity: O(V + E) validation; analyses run lazily.
   explicit AnalysisEngine(TaskGraph graph, EngineOptions opt = {});
 
@@ -126,8 +124,8 @@ class AnalysisEngine {
   /// never invalidate the other (tests/test_engine_clone.cpp).  Cached
   /// DisparityReports are immutable and shared by reference; everything
   /// else is copied.  Not cloned: the metrics registry (the clone starts
-  /// with fresh, all-zero counters), the commit observer (the clone has
-  /// none) and the thread pool (recreated lazily on first disparity_all).
+  /// with fresh, all-zero counters) and the commit observer (the clone has
+  /// none).
   ///
   /// Thread safety: clone() is a const query and may run concurrently with
   /// other queries on this engine, but — like every query — not with
@@ -189,13 +187,14 @@ class AnalysisEngine {
       TaskId task, std::size_t path_cap = kDefaultPathCap) const;
 
   /// @brief All tasks fusing >= 2 source chains (the tasks with a
-  /// nontrivial disparity) — the natural argument for disparity_all.
+  /// nontrivial disparity) — the natural tasks to loop disparity() over.
   /// Complexity: O(V · E) counting pass; uncached (cheap and
   /// structure-dependent).
   std::vector<TaskId> fusing_tasks() const;
 
   /// @brief Memoized task-level disparity analysis; byte-identical to
-  /// analyze_time_disparity_backend(graph(), task, response_times(), opt):
+  /// analyze_time_disparity_backend(graph(), task, response_times(), opt)
+  /// (both route through route_disparity_backend):
   /// opt.backend picks the enumerating kernel or the DAG DP
   /// (disparity/dag_dp.hpp), with kAuto degrading sinks whose
   /// overflow-checked chain count exceeds opt.path_cap to the DP instead
@@ -207,13 +206,6 @@ class AnalysisEngine {
   /// Complexity: O(|P|²) pair kernel or O(V + E·sources) DP on a miss,
   /// O(1) on a hit.
   DisparityReport disparity(TaskId task, const DisparityOptions& opt = {}) const;
-
-  /// @brief Batch analysis of many tasks, fanned out over the engine's
-  /// thread pool (options().num_threads workers; <= 1 runs inline).
-  /// @return Positionally aligned with `tasks` and bit-identical to
-  ///   calling disparity() serially for each.
-  std::vector<DisparityReport> disparity_all(
-      const std::vector<TaskId>& tasks, const DisparityOptions& opt = {}) const;
 
   /// @brief End-to-end latency bounds of one chain (must be a path of
   /// graph()).
@@ -496,7 +488,6 @@ class AnalysisEngine {
 
   void ensure_rta() const;
   BackwardBoundsFn bounds_provider() const;
-  ThreadPool& pool() const;
 
   // Counting-contract impls: `counted` selects whether this lookup bumps
   // the layer's hit/miss counters (false = internal plumbing on behalf of
@@ -589,9 +580,6 @@ class AnalysisEngine {
                              Stamped<std::shared_ptr<const DisparityReport>>,
                              ReportKeyHash>
       report_cache_;
-
-  mutable std::mutex pool_mutex_;
-  mutable std::unique_ptr<ThreadPool> pool_;
 
   /// Post-commit hook (subscription layers); runs outside every cache
   /// mutex on the committing thread.

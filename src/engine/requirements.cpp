@@ -15,11 +15,8 @@ RequirementsReport verify_disparity_requirements(
                  "verify_disparity_requirements: negative threshold");
   }
 
-  // One serial engine over the adopted map: the analyses run inline, as
-  // the enumerating analyzer would.
-  EngineOptions eopt;
-  eopt.num_threads = 1;
-  AnalysisEngine engine(g, rtm, eopt);
+  // One engine over the adopted map.
+  AnalysisEngine engine(g, rtm);
   RequirementsReport report;
 
   // First pass: verify, and remediate violations cumulatively.

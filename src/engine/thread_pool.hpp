@@ -1,11 +1,12 @@
-// A small fixed-size thread pool for fanning out independent analysis
-// units (sinks, chain pairs) in AnalysisEngine::disparity_all.
+// A small fixed-size thread pool for the coarse-grained fan-outs:
+// explorer restarts, Monte-Carlo replication chunks and cetad request
+// workers.  A single analysis query always runs on its caller's thread.
 //
 // Design constraints, in order: correctness under TSan, deterministic
-// results (the pool only schedules; each job is a pure function of the
-// engine's immutable graph), and simplicity — analyses are CPU-bound and
-// coarse-grained (milliseconds per sink), so a mutex-guarded deque is
-// plenty and lock-free cleverness would buy nothing.
+// results (the pool only schedules; each job is a pure function of its
+// inputs), and simplicity — jobs are CPU-bound and take milliseconds or
+// more, so a mutex-guarded deque is plenty and lock-free cleverness would
+// buy nothing.
 //
 // Workers are std::jthread, so destruction is safe by construction: the
 // destructor marks the pool as stopping, wakes every worker, lets them
@@ -13,7 +14,6 @@
 
 #pragma once
 
-#include <cerrno>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdio>
@@ -30,17 +30,27 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "obs/tracer.hpp"
 
 namespace ceta {
 
-/// Fixed-size worker pool used by AnalysisEngine to fan out independent
-/// analysis units; see the file comment for the design constraints.
+/// Fixed-size worker pool; see the file comment for the design
+/// constraints.
 class ThreadPool {
  public:
-  /// Spawn `num_threads` workers (>= 1).
+  /// Ceiling on any worker count: more is certainly a typo or a wrapped
+  /// negative, not a real machine.  The constructor checks it before any
+  /// worker starts, so it bounds every explicit thread count
+  /// (ExploreOptions, MonteCarloOptions, cetad --workers) as well as the
+  /// CETA_THREADS override.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// Spawn `num_threads` workers, in [1, kMaxThreads].
   explicit ThreadPool(std::size_t num_threads) {
     CETA_EXPECTS(num_threads >= 1, "ThreadPool: need at least one thread");
+    CETA_EXPECTS(num_threads <= kMaxThreads,
+                 "ThreadPool: more than kMaxThreads (1024) threads");
     workers_.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i) {
       workers_.emplace_back([this, i] {
@@ -69,8 +79,8 @@ class ThreadPool {
   /// True when called from a worker thread of *any* ThreadPool.  Pool
   /// jobs must not submit sub-jobs and block on them — with no work
   /// stealing, every worker could end up waiting on queued sub-jobs no
-  /// one is left to run.  Nested fan-out (e.g. the pairwise kernel inside
-  /// disparity_all's per-sink jobs) checks this and runs inline instead.
+  /// one is left to run.  Nested fan-out (a Monte-Carlo fleet or an
+  /// explorer run started from a pool job) checks this and runs inline.
   static bool current_thread_in_pool() { return in_worker_flag(); }
 
   /// Enqueue a fire-and-forget job.
@@ -96,39 +106,24 @@ class ThreadPool {
     return result;
   }
 
-  /// Ceiling on a CETA_THREADS override: anything above this is certainly
-  /// a typo (or strtol's LONG_MAX saturation on overflow), not a real
-  /// machine, and would make the constructor try to spawn that many
-  /// jthreads.
-  static constexpr long kMaxEnvThreads = 1024;
-
-  /// Default worker count for analysis fan-out.  Precedence (documented in
-  /// DESIGN.md): an explicit EngineOptions::num_threads bypasses this
+  /// Default worker count when a caller asks for 0 threads.  Precedence
+  /// (documented in DESIGN.md): an explicit count (ExploreOptions,
+  /// MonteCarloOptions::num_threads, cetad --workers) bypasses this
   /// function entirely; otherwise a CETA_THREADS environment override wins
-  /// (a plain integer in [1, kMaxEnvThreads]; anything else — zero,
-  /// negative, non-numeric, overflowing — falls back to the hardware
-  /// default with a stderr warning); otherwise hardware_concurrency,
-  /// capped at 8 — past a small handful the per-sink units are too few to
-  /// split.
+  /// (a plain integer in [1, kMaxThreads]; anything else — zero, negative,
+  /// non-numeric, overflowing — falls back to the hardware default with a
+  /// stderr warning); otherwise hardware_concurrency, capped at 8.
   static std::size_t default_concurrency() {
     const unsigned hw = std::thread::hardware_concurrency();
     const std::size_t hw_default =
         hw == 0 ? 1 : (hw > 8 ? std::size_t{8} : static_cast<std::size_t>(hw));
     if (const char* env = std::getenv("CETA_THREADS"); env && *env) {
-      char* end = nullptr;
-      errno = 0;
-      const long v = std::strtol(env, &end, 10);
-      // strtol saturates to LONG_MIN/LONG_MAX with errno == ERANGE on
-      // overflow while still consuming every digit, so the end-pointer
-      // check alone would accept e.g. CETA_THREADS=99999999999999999999.
-      if (end != nullptr && *end == '\0' && errno != ERANGE && v >= 1 &&
-          v <= kMaxEnvThreads) {
-        return static_cast<std::size_t>(v);
-      }
+      std::size_t v = 0;
+      if (parse_whole(env, v) && v >= 1 && v <= kMaxThreads) return v;
       std::fprintf(stderr,
                    "ceta: ignoring invalid CETA_THREADS='%s' (want an "
-                   "integer in [1, %ld]); using %zu worker(s)\n",
-                   env, kMaxEnvThreads, hw_default);
+                   "integer in [1, %zu]); using %zu worker(s)\n",
+                   env, kMaxThreads, hw_default);
     }
     return hw_default;
   }

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/incremental.hpp"
@@ -140,62 +141,62 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) return nullptr;
     return argv[++i];
   };
+  // Numbers are whole tokens; unsigned ones take no sign, so "-1" is a
+  // usage error instead of wrapping to a huge count.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      const char* v = nullptr;
-      if (arg == "--len-a" && (v = next_arg(i))) {
-        len_a = std::stoul(v);
-      } else if (arg == "--len-b" && (v = next_arg(i))) {
-        len_b = std::stoul(v);
-      } else if (arg == "--ecus" && (v = next_arg(i))) {
-        ecus = std::stoi(v);
-      } else if (arg == "--waters-seed" && (v = next_arg(i))) {
-        waters_seed = std::stoull(v);
-      } else if (arg == "--seed" && (v = next_arg(i))) {
-        opt.seed = std::stoull(v);
-      } else if (arg == "--moves" && (v = next_arg(i))) {
-        opt.moves_per_restart = std::stoul(v);
-      } else if (arg == "--restarts" && (v = next_arg(i))) {
-        opt.restarts = std::stoul(v);
-      } else if (arg == "--threads" && (v = next_arg(i))) {
-        opt.num_threads = std::stoul(v);
-      } else if (arg == "--max-buffer" && (v = next_arg(i))) {
-        opt.max_buffer = std::stoi(v);
-      } else if (arg == "--offset-grid" && (v = next_arg(i))) {
-        opt.offset_grid = std::stoul(v);
-      } else if (arg == "--strategy" && (v = next_arg(i))) {
-        const std::string s = v;
-        if (s == "hill") {
-          opt.strategy = Strategy::kHillClimb;
-        } else if (s == "anneal") {
-          opt.strategy = Strategy::kAnneal;
-        } else if (s == "portfolio") {
-          opt.strategy = Strategy::kPortfolio;
-        } else {
-          return usage(argv[0]);
-        }
-      } else if (arg == "--objective" && (v = next_arg(i))) {
-        const std::string s = v;
-        if (s == "analyzer") {
-          opt.objective = ObjectiveMode::kAnalyzer;
-        } else if (s == "exact") {
-          opt.objective = ObjectiveMode::kExactLet;
-        } else {
-          return usage(argv[0]);
-        }
-      } else if (arg == "--no-audsley") {
-        audsley = false;
-      } else if (arg == "--json" && (v = next_arg(i))) {
-        json_path = v;
-      } else if (arg == "--quiet") {
-        quiet = true;
+    const char* v = nullptr;
+    bool ok = true;
+    if (arg == "--len-a" && (v = next_arg(i))) {
+      ok = parse_whole(v, len_a);
+    } else if (arg == "--len-b" && (v = next_arg(i))) {
+      ok = parse_whole(v, len_b);
+    } else if (arg == "--ecus" && (v = next_arg(i))) {
+      ok = parse_whole(v, ecus);
+    } else if (arg == "--waters-seed" && (v = next_arg(i))) {
+      ok = parse_whole(v, waters_seed);
+    } else if (arg == "--seed" && (v = next_arg(i))) {
+      ok = parse_whole(v, opt.seed);
+    } else if (arg == "--moves" && (v = next_arg(i))) {
+      ok = parse_whole(v, opt.moves_per_restart);
+    } else if (arg == "--restarts" && (v = next_arg(i))) {
+      ok = parse_whole(v, opt.restarts);
+    } else if (arg == "--threads" && (v = next_arg(i))) {
+      ok = parse_whole(v, opt.num_threads);
+    } else if (arg == "--max-buffer" && (v = next_arg(i))) {
+      ok = parse_whole(v, opt.max_buffer);
+    } else if (arg == "--offset-grid" && (v = next_arg(i))) {
+      ok = parse_whole(v, opt.offset_grid);
+    } else if (arg == "--strategy" && (v = next_arg(i))) {
+      const std::string s = v;
+      if (s == "hill") {
+        opt.strategy = Strategy::kHillClimb;
+      } else if (s == "anneal") {
+        opt.strategy = Strategy::kAnneal;
+      } else if (s == "portfolio") {
+        opt.strategy = Strategy::kPortfolio;
       } else {
-        return usage(argv[0]);
+        ok = false;
       }
-    } catch (const std::exception&) {
-      return usage(argv[0]);
+    } else if (arg == "--objective" && (v = next_arg(i))) {
+      const std::string s = v;
+      if (s == "analyzer") {
+        opt.objective = ObjectiveMode::kAnalyzer;
+      } else if (s == "exact") {
+        opt.objective = ObjectiveMode::kExactLet;
+      } else {
+        ok = false;
+      }
+    } else if (arg == "--no-audsley") {
+      audsley = false;
+    } else if (arg == "--json" && (v = next_arg(i))) {
+      json_path = v;
+    } else if (arg == "--quiet") {
+      quiet = true;
+    } else {
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
 
   try {

@@ -73,7 +73,8 @@ struct ExploreOptions {
   /// restart r > 0 first applies `perturb_moves` forced random moves.
   std::size_t restarts = 8;
   /// Worker threads restarts are sharded over; 0 = default_concurrency(),
-  /// 1 = serial.  Never changes the result, only the wall clock.
+  /// 1 = serial, at most ThreadPool::kMaxThreads.  Never changes the
+  /// result, only the wall clock.
   std::size_t num_threads = 0;
   /// Largest FIFO depth a buffer move may propose.
   int max_buffer = 8;

@@ -1,14 +1,13 @@
 #include "graph/serialize.hpp"
 
-#include <charconv>
 #include <functional>
 #include <map>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace ceta {
 
@@ -57,14 +56,6 @@ void split_tokens(std::string_view line, std::vector<std::string_view>& out) {
   }
 }
 
-/// Parse a whole token as a decimal integer that fits T.
-template <typename T>
-bool parse_int(std::string_view tok, T& out) {
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
 }  // namespace
 
 TaskGraph graph_from_text(const std::string& text) {
@@ -82,7 +73,7 @@ TaskGraph graph_from_text(const std::string& text) {
     if (tok.size() > n) fail("unexpected trailing token " + quoted(tok[n]));
   };
   auto number = [&](std::string_view t, auto& out, const char* field) {
-    if (!parse_int(t, out)) fail(std::string("malformed ") + field + " " +
+    if (!parse_whole(t, out)) fail(std::string("malformed ") + field + " " +
                                  quoted(t));
   };
   std::string_view rest = text;
@@ -115,7 +106,7 @@ TaskGraph graph_from_text(const std::string& text) {
           t.comm = CommSemantics::kImplicit;
         } else if (extra.substr(0, 2) == "J=") {
           std::int64_t jitter = 0;
-          if (!parse_int(extra.substr(2), jitter)) {
+          if (!parse_whole(extra.substr(2), jitter)) {
             fail("malformed jitter attribute " + quoted(extra));
           }
           t.jitter = Duration::ns(jitter);

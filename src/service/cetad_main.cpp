@@ -15,11 +15,13 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "common/parse.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -34,7 +36,8 @@ int usage(const char* argv0) {
       << "  --unix PATH        listen on a unix-domain socket\n"
       << "  --port N           listen on 127.0.0.1:N (0 = ephemeral;\n"
       << "                     default when --unix is absent)\n"
-      << "  --workers N        request worker threads (default: cores)\n"
+      << "  --workers N        request worker threads (default: cores,\n"
+      << "                     at most 1024)\n"
       << "  --max-sessions N   session cap (default 4096)\n"
       << "  --quota N          per-session in-flight quota (default 64)\n"
       << "  --max-frame BYTES  frame payload cap (default 8 MiB)\n"
@@ -55,21 +58,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numbers are whole non-negative tokens: "-1" must not wrap to a huge
+    // worker count or cap.
+    const auto number = [&](auto& out) {
+      if (!ceta::parse_whole(next(), out)) {
+        std::cerr << arg << " needs a non-negative integer in range\n";
+        std::exit(2);
+      }
+    };
     if (arg == "--unix") {
       cfg.unix_path = next();
     } else if (arg == "--port") {
-      cfg.tcp_port = std::atoi(next());
+      std::uint16_t port = 0;
+      number(port);
+      cfg.tcp_port = port;
     } else if (arg == "--workers") {
-      cfg.num_workers = static_cast<std::size_t>(std::atol(next()));
+      number(cfg.num_workers);
     } else if (arg == "--max-sessions") {
-      cfg.service.max_sessions = static_cast<std::size_t>(std::atol(next()));
+      number(cfg.service.max_sessions);
     } else if (arg == "--quota") {
-      cfg.service.max_inflight_per_session =
-          static_cast<std::size_t>(std::atol(next()));
+      number(cfg.service.max_inflight_per_session);
     } else if (arg == "--max-frame") {
-      cfg.service.max_frame_bytes = static_cast<std::size_t>(std::atol(next()));
+      number(cfg.service.max_frame_bytes);
     } else if (arg == "--idle-timeout") {
-      cfg.idle_timeout_s = static_cast<std::uint64_t>(std::atol(next()));
+      number(cfg.idle_timeout_s);
     } else {
       return usage(argv[0]);
     }

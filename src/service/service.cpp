@@ -370,11 +370,9 @@ Outcome ServiceCore::op_create_session(const Request& req) {
   const std::string& text = to_string_member(req.at("graph"), "graph");
   TaskGraph graph = graph_from_text(text);
 
-  EngineOptions opt;
-  opt.num_threads = cfg_.engine_threads;
   std::shared_ptr<Session> session;
   try {
-    session = sessions_.create(name, std::move(graph), opt);
+    session = sessions_.create(name, std::move(graph));
   } catch (const CapacityError& e) {
     metrics_.counter("service.errors.too_many_sessions").add();
     return Outcome{error_reply(req.id, "too_many_sessions", e.what()), {}};

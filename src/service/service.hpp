@@ -78,9 +78,7 @@ struct ServiceConfig {
   /// reply (the report itself is computed in full; the reply notes
   /// `pairs_truncated` when the cap bit).
   std::size_t max_reply_pairs = 256;
-  /// Engine thread-pool width for session engines (0 = default).  Fleet
-  /// deployments set 1: parallelism comes from concurrent requests, not
-  /// from fan-out inside each.
+  /// No effect; kept only so existing callers compile.
   std::size_t engine_threads = 1;
 };
 

@@ -1,7 +1,7 @@
 // Seeded Monte-Carlo replication driver over the resettable Simulator.
 //
-// Fans `replications` seeds (first_seed, first_seed + 1, ...) across the
-// engine ThreadPool; every worker owns one Simulator + one histogram
+// Fans `replications` seeds (first_seed, first_seed + 1, ...) across a
+// ThreadPool (engine/thread_pool.hpp); every worker owns one Simulator + one histogram
 // collector and simulates whole seed chunks, so the hot path allocates
 // nothing and takes no locks.  Per-worker partial results are merged
 // single-threaded after the fan-in; every merge (histogram counts, int64
@@ -41,8 +41,9 @@ struct MonteCarloOptions {
   SimOptions sim;
   std::uint64_t first_seed = 1;
   std::uint64_t replications = 1000;
-  /// Worker threads; 0 = ThreadPool::default_concurrency().  The result
-  /// is bit-identical for every value.
+  /// Worker threads; 0 = ThreadPool::default_concurrency().  Above
+  /// ThreadPool::kMaxThreads the pool throws PreconditionError before any
+  /// worker starts.  The result is bit-identical for every valid value.
   std::size_t num_threads = 0;
   /// Tasks whose jobs feed the histograms; empty = the graph's sinks.
   std::vector<TaskId> observed;

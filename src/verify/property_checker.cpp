@@ -697,7 +697,6 @@ std::optional<std::string> engine_fresh_divergence(const AnalysisEngine& e,
 PropertyOutcome check_incremental_matches_fresh(const Inputs& in) {
   EngineOptions eopt;
   eopt.rta = RtaOptions{};
-  eopt.num_threads = 1;
   eopt.fault_skip_edge_invalidation =
       in.cfg.fault == FaultInjection::kSkipInvalidation;
   AnalysisEngine e(in.g, eopt);
@@ -887,7 +886,7 @@ PropertyOutcome check_dag_dp_matches_enumeration(const Inputs& in) {
       DisparityOptions bopt = opt;
       bopt.backend = DisparityBackend::kDagDp;
       const DisparityReport routed = analyze_time_disparity_backend(
-          in.g, in.task, in.rtm, bopt, nullptr, dpo);
+          in.g, in.task, in.rtm, bopt, dpo);
       const DisparityBackend want =
           dp.exact ? DisparityBackend::kDagDp : DisparityBackend::kEnumerate;
       if (routed.backend != want) {

@@ -19,6 +19,7 @@
 #include "engine/analysis_engine.hpp"
 #include "graph/paths.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "sched/npfp_rta.hpp"
 
 namespace ceta {
@@ -257,6 +258,26 @@ TEST(DagDp, BackendDagDpFallsBackToExactEnumerationWhenRelaxed) {
   EXPECT_EQ(r.worst_case, ker.worst_case);
   // Hand-computed Theorem 2 value of the diamond (helpers.hpp): 40ms.
   EXPECT_EQ(r.worst_case, Duration::ms(40));
+}
+
+TEST(DagDp, EngineCountsTheKernelFallbackLikeTheFreeFunction) {
+  // The engine routes through the same router as the free front door, so
+  // its kDagDp -> kernel fallback bumps disparity.dagdp.fallbacks too.
+  const TaskGraph g = diamond_graph();
+  const TaskId sink = g.sinks().front();
+  DisparityOptions opt =
+      dp_options(DisparityMethod::kForkJoin, JointTruncation::kAuto);
+  opt.backend = DisparityBackend::kDagDp;
+  const obs::Counter& fallbacks =
+      obs::MetricsRegistry::global().counter("disparity.dagdp.fallbacks");
+  const std::uint64_t before = fallbacks.value();
+  const AnalysisEngine engine(g);
+  const DisparityReport r = engine.disparity(sink, opt);
+  EXPECT_EQ(r.backend, DisparityBackend::kEnumerate);
+  EXPECT_EQ(r.worst_case, Duration::ms(40));
+  EXPECT_EQ(fallbacks.value(), before + 1);
+  (void)engine.disparity(sink, opt);  // cache hit: no second routing
+  EXPECT_EQ(fallbacks.value(), before + 1);
 }
 
 TEST(DagDp, BackendAutoPrefersKernelOnSmallInstances) {

@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/incremental.hpp"
+#include "engine/thread_pool.hpp"
 #include "explore/archive.hpp"
 #include "explore/stream.hpp"
 #include "helpers.hpp"
@@ -284,6 +285,15 @@ TEST(Explore, SameSeedSameFrontOnOneAndFourThreads) {
   EXPECT_EQ(serial.stats.accepted, pooled.stats.accepted);
   EXPECT_EQ(serial.stats.evaluations, pooled.stats.evaluations);
   EXPECT_EQ(serial.stats.archive_inserts, pooled.stats.archive_inserts);
+}
+
+TEST(Explore, ThreadCountAboveCapIsRejectedBeforeAnyRestartRuns) {
+  const Campaign c = make_campaign(302);
+  AnalysisEngine base(c.base);
+  ExploreOptions opt;
+  opt.restarts = ThreadPool::kMaxThreads + 1;
+  opt.num_threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW((void)explore::explore(base, c.sink, opt), PreconditionError);
 }
 
 TEST(Explore, CountersPublishedToBaseRegistry) {

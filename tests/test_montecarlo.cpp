@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "disparity/forkjoin.hpp"
 #include "engine/analysis_engine.hpp"
+#include "engine/thread_pool.hpp"
 #include "helpers.hpp"
 #include "sim/simulator.hpp"
 
@@ -226,6 +227,16 @@ TEST(MonteCarlo, StressFleetAcrossThreads) {
   // And the stress result is still the deterministic one.
   opt.num_threads = 3;
   expect_same_result(mc, run_monte_carlo(g, opt));
+}
+
+TEST(MonteCarlo, ThreadCountAboveCapIsRejectedBeforeAnyWorkerStarts) {
+  // The pool constructor refuses more than kMaxThreads workers up front,
+  // so a wrapped or mistyped count never spawns a thread.
+  const TaskGraph g = random_dag_graph(12, 3, /*seed=*/33);
+  MonteCarloOptions opt = small_fleet();
+  opt.replications = 2;
+  opt.num_threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW((void)run_monte_carlo(g, opt), PreconditionError);
 }
 
 }  // namespace

@@ -231,8 +231,8 @@ TEST(Metrics, EngineSnapshotsAreDeterministic) {
   const auto session = [&g]() {
     AnalysisEngine engine(g);
     const std::vector<TaskId> fusing = engine.fusing_tasks();
-    (void)engine.disparity_all(fusing);
-    (void)engine.disparity_all(fusing);  // all hits
+    for (const TaskId t : fusing) (void)engine.disparity(t);
+    for (const TaskId t : fusing) (void)engine.disparity(t);  // all hits
     for (const TaskId t : fusing) (void)engine.optimize_buffers(t);
     return engine.metrics();
   };

@@ -33,21 +33,17 @@ using ceta::testing::random_dag_graph;
 using obs::Tracer;
 
 /// The instrumented workload every schema assertion below runs against:
-/// an engine session (RTA, enumeration, hop/chain bounds, disparity
-/// batch over the pool), a direct pool round-trip, and a short
-/// simulation.
+/// an engine session (RTA, enumeration, hop/chain bounds, disparity of
+/// every fusing task), a direct pool round-trip, and a short simulation.
 void run_instrumented_workload() {
   obs::set_thread_name("main");
   const TaskGraph g = random_dag_graph(14, 3, /*seed=*/3);
-  EngineOptions opt;
-  opt.num_threads = 2;
-  const AnalysisEngine engine(g, opt);
-  const std::vector<TaskId> fusing = engine.fusing_tasks();
-  (void)engine.disparity_all(fusing);
-  (void)engine.disparity_all(fusing);  // warm pass: cache-hit spans
+  const AnalysisEngine engine(g);
+  for (int pass = 0; pass < 2; ++pass) {  // second pass: cache-hit spans
+    for (const TaskId t : engine.fusing_tasks()) (void)engine.disparity(t);
+  }
 
-  // Guaranteed pool.job spans even if the graph has a single fusing task
-  // (single-task batches run inline).
+  // The pool.job spans and pool-worker-* thread labels.
   {
     ThreadPool pool(2);
     for (int i = 0; i < 4; ++i) pool.submit([] {}).get();
@@ -114,8 +110,8 @@ TEST(TraceSchema, GoldenShape) {
   // Every instrumented layer contributed at least one span.
   for (const char* name :
        {"analyze_response_times", "enumerate_source_chains", "hop_bound",
-        "rta", "hop", "chain_bounds", "chains", "disparity", "disparity_all",
-        "pool.job", "simulator.run"}) {
+        "rta", "hop", "chain_bounds", "chains", "disparity", "pool.job",
+        "simulator.run"}) {
     EXPECT_TRUE(names.count(name)) << "missing span '" << name << "'";
   }
   for (const char* cat : {"sched", "graph", "chain", "disparity", "engine",
@@ -123,7 +119,7 @@ TEST(TraceSchema, GoldenShape) {
     EXPECT_TRUE(cats.count(cat)) << "missing category '" << cat << "'";
   }
 
-  // Thread labels: the test thread named itself and the engine pool names
+  // Thread labels: the test thread named itself and the pool names
   // its workers.
   EXPECT_TRUE(thread_names.count("main"));
   EXPECT_TRUE(std::any_of(thread_names.begin(), thread_names.end(),

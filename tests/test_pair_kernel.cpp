@@ -1,6 +1,6 @@
 // Pairwise kernel (disparity/pair_kernel.hpp): bit-identical equivalence
 // with the reference analyzer, suffix-table exactness, truncation dedup,
-// KeepPairs semantics and the intra-sink parallel reduction.
+// and KeepPairs semantics.
 
 #include <algorithm>
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include "disparity/analyzer.hpp"
 #include "disparity/pair_kernel.hpp"
 #include "engine/analysis_engine.hpp"
-#include "engine/thread_pool.hpp"
 #include "graph/paths.hpp"
 #include "helpers.hpp"
 #include "sched/npfp_rta.hpp"
@@ -63,8 +62,7 @@ void expect_reports_identical(const DisparityReport& ref,
 /// Compare kernel vs reference at every method × truncation × keep mode.
 void expect_kernel_matches_reference(const TaskGraph& g, TaskId task,
                                      const ResponseTimeMap& rtm,
-                                     const std::string& what,
-                                     ThreadPool* pool = nullptr) {
+                                     const std::string& what) {
   for (const DisparityMethod m : all_methods()) {
     for (const JointTruncation tr : all_truncations()) {
       for (const KeepPairs kp : all_keep_modes()) {
@@ -75,7 +73,7 @@ void expect_kernel_matches_reference(const TaskGraph& g, TaskId task,
         opt.top_k = 3;
         const DisparityReport ref = analyze_time_disparity(g, task, rtm, opt);
         const DisparityReport ker =
-            analyze_time_disparity_kernel(g, task, rtm, opt, pool);
+            analyze_time_disparity_kernel(g, task, rtm, opt);
         std::ostringstream os;
         os << what << " method=" << static_cast<int>(m)
            << " trunc=" << static_cast<int>(tr)
@@ -309,31 +307,6 @@ TEST(PairKernel, KeepPairsModesAgreeWithFilteredAll) {
   ASSERT_EQ(w.pairs.size(), 1u);
   EXPECT_EQ(w.pairs.front().bound, full.worst_case);
   EXPECT_EQ(w.worst_case, full.worst_case);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel reduction
-
-TEST(PairKernel, ParallelMatchesSerialBitForBit) {
-  const TaskGraph g = diamond_stack_graph(6);  // 64 chains, 2016 pairs
-  const ResponseTimeMap rtm = response_times_of(g);
-  const TaskId sink = g.sinks().front();
-  ThreadPool pool(4);
-  for (const KeepPairs kp : all_keep_modes()) {
-    DisparityOptions opt;
-    opt.keep_pairs = kp;
-    opt.top_k = 7;
-    const DisparityReport serial =
-        analyze_time_disparity_kernel(g, sink, rtm, opt, nullptr);
-    const DisparityReport parallel =
-        analyze_time_disparity_kernel(g, sink, rtm, opt, &pool);
-    expect_reports_identical(serial, parallel,
-                             "keep=" + std::to_string(static_cast<int>(kp)));
-    const DisparityReport ref = analyze_time_disparity(g, sink, rtm, opt);
-    expect_reports_identical(ref, parallel,
-                             "ref keep=" +
-                                 std::to_string(static_cast<int>(kp)));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
-// ThreadPool::default_concurrency(): the CETA_THREADS override must accept
-// exactly the sane values (plain integers in [1, kMaxEnvThreads]) and fall
-// back to the hardware clamp — with a warning, but without throwing — on
-// everything else.  The overflow case is the regression that motivated the
-// test: strtol saturates to LONG_MAX with errno == ERANGE while still
-// consuming every digit, so an end-pointer check alone accepts it.
+// ThreadPool: the pool must execute, propagate exceptions, drain on
+// shutdown and refuse worker counts outside [1, kMaxThreads] before
+// starting any worker.  ThreadPool::default_concurrency(): the
+// CETA_THREADS override must accept exactly the sane values (plain
+// integers in [1, kMaxThreads]) and fall back to the hardware clamp — with
+// a warning, but without throwing — on everything else, overflow included.
 
 #include "engine/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <future>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "common/error.hpp"
 
 namespace ceta {
 namespace {
@@ -68,8 +75,7 @@ TEST(DefaultConcurrency, ValidOverrideWins) {
 
 TEST(DefaultConcurrency, MaxAllowedOverrideWins) {
   const ScopedEnv env("1024");
-  EXPECT_EQ(ThreadPool::default_concurrency(),
-            static_cast<std::size_t>(ThreadPool::kMaxEnvThreads));
+  EXPECT_EQ(ThreadPool::default_concurrency(), ThreadPool::kMaxThreads);
 }
 
 TEST(DefaultConcurrency, ZeroFallsBack) {
@@ -93,8 +99,7 @@ TEST(DefaultConcurrency, TrailingGarbageFallsBack) {
 }
 
 TEST(DefaultConcurrency, OverflowFallsBack) {
-  // strtol saturates to LONG_MAX (errno == ERANGE) but consumes every
-  // digit; this value used to be accepted and passed to the constructor.
+  // Consumes every digit but does not fit: rejected, never saturated.
   const ScopedEnv env("99999999999999999999");
   EXPECT_EQ(ThreadPool::default_concurrency(), hardware_default());
 }
@@ -104,13 +109,63 @@ TEST(DefaultConcurrency, AboveCapFallsBack) {
   EXPECT_EQ(ThreadPool::default_concurrency(), hardware_default());
 }
 
-TEST(ThreadPool, SubmitReturnsResultsAndPropagatesExceptions) {
+TEST(ThreadPool, ExecutesPostedJobs) {
+  std::atomic<int> count{0};
+  std::latch done(100);
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.size(), 4u);
+    for (int i = 0; i < 100; ++i) {
+      pool.post([&] {
+        count.fetch_add(1, std::memory_order_relaxed);
+        done.count_down();
+      });
+    }
+    done.wait();
+  }
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, DestructorDrainsQueue) {
+  // Jobs posted before destruction all run, even if never awaited.
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 64; ++i) {
+      pool.post([&] { count.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
+  EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ThreadPool, SubmitReturnsValues) {
+  ThreadPool pool(3);
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(pool.submit([i] { return i * i; }));
+  }
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
+  }
+}
+
+TEST(ThreadPool, SubmitPropagatesExceptions) {
   ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2u);
-  auto ok = pool.submit([] { return 6 * 7; });
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 42);
-  EXPECT_THROW(bad.get(), std::runtime_error);
+  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
+  EXPECT_THROW((void)f.get(), std::runtime_error);
+  // The pool survives a throwing job.
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+}
+
+TEST(ThreadPool, RejectsZeroThreadsAndEmptyJobs) {
+  EXPECT_THROW(ThreadPool{0}, PreconditionError);
+  ThreadPool pool(1);
+  EXPECT_THROW(pool.post(std::function<void()>{}), PreconditionError);
+}
+
+TEST(ThreadPool, RejectsMoreThanMaxThreadsBeforeStartingAny) {
+  // Throws from the constructor's check, before the first worker spawns.
+  EXPECT_THROW(ThreadPool{ThreadPool::kMaxThreads + 1}, PreconditionError);
 }
 
 }  // namespace
