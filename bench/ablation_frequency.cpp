@@ -12,7 +12,7 @@
 #include "experiments/table.hpp"
 #include "graph/paths.hpp"
 #include "graph/task_graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 

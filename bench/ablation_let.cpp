@@ -15,7 +15,7 @@
 #include "graph/generator.hpp"
 #include "graph/paths.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 namespace {

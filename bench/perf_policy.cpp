@@ -32,7 +32,7 @@
 #include "graph/generator.hpp"
 #include "graph/paths.hpp"
 #include "sched/npfp_rta.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 namespace {

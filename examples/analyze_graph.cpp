@@ -37,7 +37,7 @@
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 

@@ -17,7 +17,7 @@
 #include "graph/task_graph.hpp"
 #include "sched/bus.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 int main() {
   using namespace ceta;

@@ -13,7 +13,7 @@
 #include "engine/analysis_engine.hpp"
 #include "graph/paths.hpp"
 #include "graph/task_graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 

@@ -29,8 +29,8 @@
 #include "obs/tracer.hpp"
 #include "sched/bus.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
 #include "sim/gantt.hpp"
+#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ceta;

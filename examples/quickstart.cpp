@@ -12,7 +12,7 @@
 #include "engine/analysis_engine.hpp"
 #include "graph/dot.hpp"
 #include "graph/task_graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 int main() {
   using namespace ceta;

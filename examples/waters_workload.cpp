@@ -11,7 +11,7 @@
 #include "experiments/table.hpp"
 #include "graph/generator.hpp"
 #include "graph/paths.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 int main(int argc, char** argv) {

@@ -19,10 +19,11 @@ namespace {
 /// tests/test_exact.cpp boundary tests): a publish at exactly t IS
 /// visible to a read at t.  This matches Definition 1 ("finishes no later
 /// than the start") and the simulator's event order (finish/publish
-/// before release at equal instants — sim/engine.hpp).  floor_div gives
-/// precisely that semantics on both branches: at t = o + (k+1)·T the
-/// non-source branch selects job k, whose publish instant is t itself,
-/// and at t = o + k·T the source branch selects the sample stamped t.
+/// before release at equal instants — EventKind in
+/// sim/calendar_queue.hpp).  floor_div gives precisely that semantics on
+/// both branches: at t = o + (k+1)·T the non-source branch selects job k,
+/// whose publish instant is t itself, and at t = o + k·T the source
+/// branch selects the sample stamped t.
 Instant trace_source_timestamp(const TaskGraph& g, const Path& chain,
                                Instant t_read) {
   Instant t = t_read;

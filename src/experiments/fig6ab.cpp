@@ -8,7 +8,7 @@
 #include "experiments/table.hpp"
 #include "graph/generator.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 namespace ceta {

@@ -12,7 +12,7 @@
 #include "graph/generator.hpp"
 #include "graph/paths.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 namespace ceta {

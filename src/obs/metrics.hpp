@@ -17,15 +17,11 @@
 //
 // Simulator counter taxonomy (global registry, one flush per run/batch):
 //   sim.runs / sim.events / sim.jobs_finished / sim.preemptions
-//       — the Simulator front door (and the simulate() shim through it);
-//   sim.reference.*  — the same four for the differential-testing
-//       reference engine, kept separate so old-vs-new benchmarks can
-//       attribute event counts;
+//       — the Simulator (sim/simulator.cpp), the one simulator;
 //   sim.mc.replications / sim.mc.events — Monte-Carlo driver totals
 //       (per-replication counts are already folded into sim.*).
-// Matching span categories: "sim" with names "simulate",
-// "simulator.run", "simulator.run_batch", "simulate_reference",
-// "montecarlo.run".
+// Matching span categories: "sim" with names "simulator.run",
+// "simulator.run_batch" and "montecarlo.run".
 //
 // `MetricsRegistry::global()` is the process-wide registry used by the
 // free analysis functions and the simulator; `AnalysisEngine` owns a

@@ -14,8 +14,9 @@
 //  * a draw does not depend on *when* it is sampled, so event-processing
 //    order, preemptions and queue implementation cannot perturb it;
 //  * two engines simulating the same (graph, options, seed) sample
-//    identical jitters and execution times — the basis of the old-vs-new
-//    trace-equivalence sweep (reference_engine.hpp);
+//    identical jitters and execution times — the basis of the
+//    trace-equivalence sweep against the test-only reference engine
+//    (tests/sim_oracle/reference_engine.hpp);
 //  * Simulator::run_batch and the Monte-Carlo driver are bit-identical
 //    regardless of thread count, chunking or scheduling order, because
 //    replication k always runs under SimStream(first_seed + k);

@@ -1,12 +1,11 @@
 // Shared option/result contract of the simulation front doors.
 //
-// SimOptions is consumed by three entry points — the resettable
-// sim::Simulator (simulator.hpp), the legacy simulate() shim
-// (engine.hpp) and the Monte-Carlo replication driver (montecarlo.hpp) —
-// all of which funnel through the same validate() gate, mirroring the
-// DisparityOptions contract: a nonsensical combination raises
-// InvalidOptionsError before any simulation state is built, instead of
-// silently producing an empty trace.
+// SimOptions is consumed by two entry points — the resettable
+// sim::Simulator (simulator.hpp) and the Monte-Carlo replication driver
+// (montecarlo.hpp) — both of which funnel through the same validate()
+// gate, mirroring the DisparityOptions contract: a nonsensical
+// combination raises InvalidOptionsError before any simulation state is
+// built, instead of silently producing an empty trace.
 
 #pragma once
 
@@ -52,8 +51,7 @@ struct SimOptions {
   ///  * max_jobs must be >= 1;
   ///  * exec_model == kCustom requires exec_hook, and a hook is rejected
   ///    under any other model (it would be silently ignored).
-  /// Shared verbatim by Simulator, the simulate() shim and the
-  /// Monte-Carlo driver.
+  /// Shared verbatim by Simulator and the Monte-Carlo driver.
   void validate() const;
 };
 

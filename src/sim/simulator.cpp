@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sched/ecu_index.hpp"
 
 namespace ceta {
 
@@ -60,24 +60,19 @@ Simulator::Simulator(const TaskGraph& g, SimOptions opt)
 
   const std::size_t n = g_.num_tasks();
 
-  // Dense ECU indexing, in order of first appearance by task id (the
-  // reference engine's std::map over EcuId yields the same dense set; the
-  // indices themselves never leak into results).
-  std::map<EcuId, std::uint32_t> ecu_index;
-  ecu_of_task_.assign(n, kNoEcuIdx);
-  for (TaskId id = 0; id < n; ++id) {
-    const EcuId e = g_.task(id).ecu;
-    if (e == kNoEcu) continue;
-    const auto [it, fresh] =
-        ecu_index.emplace(e, static_cast<std::uint32_t>(ecu_index.size()));
-    (void)fresh;
-    ecu_of_task_[id] = it->second;
-  }
-  num_ecus_ = static_cast<std::uint32_t>(ecu_index.size());
+  // Dense ECU indexing from the shared per-ECU partition: index k is the
+  // k-th ECU in ascending EcuId order (EcuIndex::ecus()).  Events are
+  // ordered by (time, kind, seq), never by ECU index, so the numbering
+  // does not leak into results.
+  const EcuIndex index(g_);
+  num_ecus_ = static_cast<std::uint32_t>(index.ecus().size());
   ecus_.resize(num_ecus_);
-  ecu_policy_.assign(num_ecus_, SchedPolicy::kNonPreemptive);
-  for (const auto& [ecu, idx] : ecu_index) {
-    ecu_policy_[idx] = opt_.policy.value_or(g_.policy(ecu));
+  ecu_policy_.resize(num_ecus_);
+  ecu_of_task_.assign(n, kNoEcuIdx);
+  for (std::uint32_t k = 0; k < num_ecus_; ++k) {
+    const EcuId ecu = index.ecus()[k];
+    ecu_policy_[k] = opt_.policy.value_or(g_.policy(ecu));
+    for (const TaskId id : index.members(ecu)) ecu_of_task_[id] = k;
   }
 
   // Flatten per-task constants for the event handlers.
@@ -106,7 +101,7 @@ Simulator::Simulator(const TaskGraph& g, SimOptions opt)
   }
 
   // CSR input/output edge lists; inputs sorted to predecessors order so
-  // trace ReadLinks line up (same rule as the reference engine).
+  // trace ReadLinks line up (same rule as the test-only reference engine).
   const std::size_t m = g_.edges().size();
   std::vector<std::vector<std::uint32_t>> ins(n), outs(n);
   for (std::size_t e = 0; e < m; ++e) {

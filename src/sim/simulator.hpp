@@ -5,13 +5,14 @@
 // token/provenance arenas sized from channel capacities) and then runs
 // any number of seeded replications without allocating — reset() only
 // rewinds cursors and refills sentinel values.  Simulated semantics are
-// bit-identical to the pre-rewrite engine (kept as
-// reference_engine.hpp for differential testing): periodic jittered
-// releases, zero-time sources, per-ECU fixed-priority dispatch
-// (non-preemptive or preemptive), implicit/LET communication over FIFO
-// sliding-window channels, and the (time, kind, seq) total event order.
+// bit-identical to the pre-rewrite engine (kept as the test-only oracle
+// tests/sim_oracle/reference_engine.hpp for differential testing):
+// periodic jittered releases, zero-time sources, per-ECU dispatch
+// (non-preemptive or preemptive fixed priority, or EDF), implicit/LET
+// communication over FIFO sliding-window channels, and the
+// (time, kind, seq) total event order.
 //
-// Scale-up machinery relative to the old engine:
+// Scale-up machinery relative to the reference engine:
 //  * calendar queue (calendar_queue.hpp) instead of a binary heap;
 //  * tokens live in per-channel ring buffers of POD slots; provenance is
 //    a dense [min per source | max per source] block per slot instead of
@@ -225,9 +226,9 @@ class Simulator {
 }  // namespace ceta::sim
 
 namespace ceta {
-// The new front door is spelled ceta::sim::*, hoisted into ceta for
+// The simulator is spelled ceta::sim::*, hoisted into ceta for
 // convenience alongside the SimOptions/SimResult contract it shares with
-// the legacy shim.
+// the Monte-Carlo driver.
 using sim::JobObserver;
 using sim::SimBatchResult;
 using sim::Simulator;

@@ -27,8 +27,8 @@
 #include "sched/npfp_rta.hpp"
 #include "sched/priority.hpp"
 #include "sim/backward.hpp"
-#include "sim/engine.hpp"
 #include "sim/montecarlo.hpp"
+#include "sim/simulator.hpp"
 #include "verify/shrink.hpp"
 #include "waters/generator.hpp"
 

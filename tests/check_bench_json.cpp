@@ -3,14 +3,13 @@
 // tests use, checks the schema the bench promises, and fails (exit 1) if
 // the recorded cross-check ever reported a divergence.
 //
-//   check_bench_json <file> [pairwise|incremental|dagdp|sim|service|
-//                            explore|tightness|policy]
+//   check_bench_json <file> [pairwise|incremental|dagdp|service|explore|
+//                            tightness|policy]
 //
 // The optional second argument selects the schema; "pairwise" (the
 // kernel-vs-reference comparison) is the default, "incremental" validates
 // the mutation-API-vs-fresh-rebuild sweep, "dagdp" the DAG-DP backend's
-// agreement-plus-throughput record, "sim" the simulator rewrite's
-// 100-seed trace-equivalence sweep and replication throughput.
+// agreement-plus-throughput record.
 
 #include <fstream>
 #include <iostream>
@@ -106,42 +105,6 @@ int check_dagdp(const ceta::testing::JsonValue& doc, const std::string& path) {
   std::cout << "OK: " << path << " (" << doc.at("graph_tasks").number
             << " tasks, " << doc.at("tasks_per_sec").number
             << " tasks/sec, match: true)\n";
-  return 0;
-}
-
-int check_sim(const ceta::testing::JsonValue& doc, const std::string& path) {
-  for (const char* key :
-       {"bench", "graph_tasks", "seeds_checked", "match", "reference_ns",
-        "simulator_ns", "fleet_reference_s", "fleet_simulator_s", "speedup",
-        "replications", "events", "sims_per_sec", "events_per_sec"}) {
-    if (!doc.has(key)) return fail(path + " lacks member '" + key + "'");
-  }
-  if (doc.at("bench").string != "sim_montecarlo_vs_reference") {
-    return fail("unexpected bench id '" + doc.at("bench").string + "'");
-  }
-  if (doc.at("seeds_checked").number < 100 ||
-      doc.at("replications").number < 100 ||
-      doc.at("simulator_ns").number <= 0 ||
-      doc.at("fleet_simulator_s").number <= 0 ||
-      doc.at("events").number <= 0) {
-    return fail("degenerate bench record in " + path);
-  }
-  if (!doc.at("match").boolean) {
-    return fail(
-        "Simulator diverged from the reference engine (match: false in " +
-        path + ")");
-  }
-  // The acceptance target on a quiet box is >= 5x on the replication
-  // fleet; CI boxes are shared and noisy, so the hard gate only insists
-  // the resettable core actually beats per-run construction.
-  if (doc.at("speedup").number <= 1.0) {
-    return fail("simulator rewrite is not faster than the reference engine "
-                "on the replication fleet (speedup <= 1 in " +
-                path + ")");
-  }
-  std::cout << "OK: " << path << " (" << doc.at("seeds_checked").number
-            << " seeds, speedup " << doc.at("speedup").number << "x, "
-            << doc.at("sims_per_sec").number << " sims/s, match: true)\n";
   return 0;
 }
 
@@ -325,15 +288,15 @@ int check_policy(const ceta::testing::JsonValue& doc,
 int main(int argc, char** argv) {
   if (argc < 2 || argc > 3) {
     std::cerr << "usage: check_bench_json <BENCH_*.json> "
-                 "[pairwise|incremental|dagdp|sim|service|explore|tightness|"
+                 "[pairwise|incremental|dagdp|service|explore|tightness|"
                  "policy]\n";
     return 2;
   }
   const std::string path = argv[1];
   const std::string schema = argc == 3 ? argv[2] : "pairwise";
   if (schema != "pairwise" && schema != "incremental" && schema != "dagdp" &&
-      schema != "sim" && schema != "service" && schema != "explore" &&
-      schema != "tightness" && schema != "policy") {
+      schema != "service" && schema != "explore" && schema != "tightness" &&
+      schema != "policy") {
     std::cerr << "unknown schema '" << schema << "'\n";
     return 2;
   }
@@ -352,7 +315,6 @@ int main(int argc, char** argv) {
     if (schema == "pairwise") return check_pairwise(doc, path);
     if (schema == "incremental") return check_incremental(doc, path);
     if (schema == "dagdp") return check_dagdp(doc, path);
-    if (schema == "sim") return check_sim(doc, path);
     if (schema == "explore") return check_explore(doc, path);
     if (schema == "tightness") return check_tightness(doc, path);
     if (schema == "policy") return check_policy(doc, path);

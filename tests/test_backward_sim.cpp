@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "disparity/forkjoin.hpp"
 #include "helpers.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

@@ -1,4 +1,4 @@
-#include "sim/channel.hpp"
+#include "sim_oracle/channel.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -331,13 +331,11 @@ TEST(Engine, JobCapGuards) {
 TEST(Engine, OptionValidation) {
   // SimOptions::validate() rejects nonsensical combinations with
   // InvalidOptionsError before any simulation state exists; the same gate
-  // covers the Simulator ctor, the simulate() shim and the Monte-Carlo
-  // driver.
+  // covers the Simulator ctor and the Monte-Carlo driver.
   const TaskGraph g = testing::simple_chain_graph();
   SimOptions opt;
   opt.duration = Duration::zero();
   EXPECT_THROW(Simulator(g, opt), InvalidOptionsError);
-  EXPECT_THROW(simulate(g, opt), InvalidOptionsError);
   opt.duration = Duration::ms(10);
   opt.warmup = Duration::ms(10);
   EXPECT_THROW(Simulator(g, opt), InvalidOptionsError);
@@ -354,36 +352,6 @@ TEST(Engine, OptionValidation) {
   EXPECT_THROW(Simulator(g, opt), InvalidOptionsError);  // ignored hook
   opt.exec_hook = {};
   EXPECT_NO_THROW(Simulator(g, opt));
-}
-
-TEST(Engine, ShimBitIdenticalToSimulator) {
-  // The deprecated simulate() entry point is a thin wrapper over
-  // Simulator and must stay field-for-field identical to it (the only
-  // remaining caller of simulate() is this test).
-  const TaskGraph g = testing::random_dag_graph(10, 3, 17);
-  SimOptions opt;
-  opt.duration = Duration::ms(300);
-  opt.seed = 1234;
-  opt.record_trace = true;
-  const SimResult via_shim = simulate(g, opt);
-  const SimResult via_api = Simulator(g, opt).run();
-  EXPECT_EQ(via_shim.max_disparity, via_api.max_disparity);
-  EXPECT_EQ(via_shim.jobs_observed, via_api.jobs_observed);
-  EXPECT_EQ(via_shim.jobs_finished, via_api.jobs_finished);
-  EXPECT_EQ(via_shim.max_response_time, via_api.max_response_time);
-  EXPECT_EQ(via_shim.preemptions, via_api.preemptions);
-  ASSERT_EQ(via_shim.trace.tasks.size(), via_api.trace.tasks.size());
-  for (std::size_t t = 0; t < via_shim.trace.tasks.size(); ++t) {
-    const auto& a = via_shim.trace.tasks[t].jobs;
-    const auto& b = via_api.trace.tasks[t].jobs;
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].index, b[i].index);
-      EXPECT_EQ(a[i].release, b[i].release);
-      EXPECT_EQ(a[i].start, b[i].start);
-      EXPECT_EQ(a[i].finish, b[i].finish);
-    }
-  }
 }
 
 TEST(Engine, InvalidGraphRejected) {

@@ -13,7 +13,7 @@
 #include "graph/paths.hpp"
 #include "helpers.hpp"
 #include "sim/backward.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

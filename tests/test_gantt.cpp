@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "helpers.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

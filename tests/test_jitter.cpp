@@ -11,7 +11,7 @@
 #include "helpers.hpp"
 #include "sched/priority.hpp"
 #include "sim/backward.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

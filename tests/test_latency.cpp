@@ -4,8 +4,8 @@
 
 #include "common/error.hpp"
 #include "helpers.hpp"
-#include "sim/engine.hpp"
 #include "sim/latency.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

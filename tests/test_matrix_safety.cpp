@@ -13,7 +13,7 @@
 #include "helpers.hpp"
 #include "sched/npfp_rta.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 namespace ceta {

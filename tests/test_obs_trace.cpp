@@ -21,7 +21,7 @@
 #include "engine/thread_pool.hpp"
 #include "helpers.hpp"
 #include "json_checker.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

@@ -8,7 +8,7 @@
 #include "engine/incremental.hpp"
 #include "helpers.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

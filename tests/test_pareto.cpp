@@ -6,7 +6,7 @@
 #include "graph/paths.hpp"
 #include "helpers.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

@@ -12,7 +12,7 @@
 #include "sched/edf_rta.hpp"
 #include "sched/priority.hpp"
 #include "sim/backward.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

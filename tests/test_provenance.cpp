@@ -1,4 +1,4 @@
-#include "sim/provenance.hpp"
+#include "sim_oracle/provenance.hpp"
 
 #include <gtest/gtest.h>
 

@@ -7,7 +7,7 @@
 #include "engine/analysis_engine.hpp"
 #include "engine/requirements.hpp"
 #include "helpers.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace ceta {
 namespace {

@@ -1,20 +1,26 @@
 // Simulator API tests: the resettable front door must be a pure function
 // of (graph, options, seed) — reusing one instance across seeds is
-// bit-identical to constructing fresh simulators, a 100-seed sweep is
-// trace-identical to the retained reference engine, and run_batch merges
-// are exactly the fold of the individual runs.
+// bit-identical to constructing fresh simulators, 100-seed sweeps are
+// trace-identical to the test-only reference engine
+// (sim_oracle/reference_engine.hpp) under every dispatch policy, and
+// run_batch merges are exactly the fold of the individual runs.
 
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "graph/generator.hpp"
 #include "helpers.hpp"
-#include "sim/engine.hpp"
-#include "sim/reference_engine.hpp"
+#include "sched/npfp_rta.hpp"
+#include "sim_oracle/reference_engine.hpp"
+#include "waters/generator.hpp"
 
 namespace ceta {
 namespace {
@@ -51,6 +57,34 @@ void expect_identical(const SimResult& a, const SimResult& b,
       }
     }
   }
+}
+
+/// A schedulable 20-task WATERS graph on 4 ECUs (seed 7): the first
+/// admissible draw of a G(n, m) DAG with WATERS periods and WCETs.
+TaskGraph waters_graph_20() {
+  Rng rng(7);
+  for (;;) {
+    GnmDagOptions gopt;
+    gopt.num_tasks = 20;
+    TaskGraph g = gnm_random_dag(gopt, rng);
+    WatersAssignOptions wopt;
+    wopt.num_ecus = 4;
+    assign_waters_parameters(g, wopt, rng);
+    if (analyze_response_times(g).all_schedulable) return g;
+  }
+}
+
+/// ECUs in order of first appearance by task id.
+std::vector<EcuId> ecus_by_first_appearance(const TaskGraph& g) {
+  std::vector<EcuId> order;
+  for (TaskId id = 0; id < g.num_tasks(); ++id) {
+    const EcuId e = g.task(id).ecu;
+    if (e != kNoEcu &&
+        std::find(order.begin(), order.end(), e) == order.end()) {
+      order.push_back(e);
+    }
+  }
+  return order;
 }
 
 SimOptions traced_options(Duration duration) {
@@ -104,11 +138,25 @@ TEST(Simulator, HundredSeedSweepMatchesReferenceEngine) {
     const SimResult newr = Simulator(g, opt).run();
     expect_identical(oldr, newr, "seed " + std::to_string(seed));
   }
+
+  // A 20-task WATERS graph whose ECUs first appear out of id order: the
+  // reference numbers ECUs by first appearance, the Simulator by
+  // ascending EcuId, so the dense indices differ and the sweep shows the
+  // numbering stays invisible.  One Simulator is reused across seeds.
+  const TaskGraph w = waters_graph_20();
+  ASSERT_EQ(ecus_by_first_appearance(w), (std::vector<EcuId>{3, 2, 0, 1}));
+  SimOptions wopt = traced_options(Duration::ms(400));
+  Simulator simulator(w, wopt);
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    wopt.seed = seed;
+    expect_identical(sim::simulate_reference(w, wopt), simulator.run(seed),
+                     "WATERS seed " + std::to_string(seed));
+  }
 }
 
 TEST(Simulator, ReferenceEquivalencePreemptiveAndLet) {
-  // The sweep above runs the default policy; cover the preemptive
-  // dispatcher and LET channels (publish events) against the reference
+  // The sweep above runs the default policy; cover the preemptive and EDF
+  // dispatchers and LET channels (publish events) against the reference
   // too, seeds 1..25 each.
   TaskGraph g = random_dag_graph(10, 2, /*seed=*/23);
   for (TaskId id = 0; id < static_cast<TaskId>(g.num_tasks()); ++id) {
@@ -123,7 +171,47 @@ TEST(Simulator, ReferenceEquivalencePreemptiveAndLet) {
     opt.policy = SchedPolicy::kPreemptive;
     expect_identical(sim::simulate_reference(g, opt), Simulator(g, opt).run(),
                      "preemptive seed " + std::to_string(seed));
+    opt.policy = SchedPolicy::kEdf;
+    expect_identical(sim::simulate_reference(g, opt), Simulator(g, opt).run(),
+                     "EDF seed " + std::to_string(seed));
   }
+
+  // The graph above is so lightly loaded that it never preempts, so all
+  // three overrides replay the same trace.  Scale the 20-task WATERS
+  // graph's execution times 16x (peak ECU utilization about 0.56) so
+  // dispatch order depends on the policy, then check the preemptive and
+  // EDF overrides and mixed per-ECU policies set on the graph itself (no
+  // override), on ECUs the two engines number differently.
+  TaskGraph loaded = waters_graph_20();
+  for (TaskId id = 0; id < static_cast<TaskId>(loaded.num_tasks()); ++id) {
+    loaded.task(id).bcet = loaded.task(id).bcet * 16;
+    loaded.task(id).wcet = loaded.task(id).wcet * 16;
+  }
+  TaskGraph mixed = loaded;
+  mixed.set_policy(0, SchedPolicy::kPreemptive);
+  mixed.set_policy(1, SchedPolicy::kEdf);
+  mixed.set_policy(2, SchedPolicy::kNonPreemptive);
+  mixed.set_policy(3, SchedPolicy::kEdf);
+  SimOptions lopt = traced_options(Duration::ms(400));
+  std::int64_t mixed_preemptions = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    lopt.seed = seed;
+    lopt.policy = SchedPolicy::kPreemptive;
+    expect_identical(sim::simulate_reference(loaded, lopt),
+                     Simulator(loaded, lopt).run(),
+                     "loaded preemptive seed " + std::to_string(seed));
+    lopt.policy = SchedPolicy::kEdf;
+    expect_identical(sim::simulate_reference(loaded, lopt),
+                     Simulator(loaded, lopt).run(),
+                     "loaded EDF seed " + std::to_string(seed));
+    lopt.policy.reset();
+    const SimResult newr = Simulator(mixed, lopt).run();
+    expect_identical(sim::simulate_reference(mixed, lopt), newr,
+                     "mixed-policy seed " + std::to_string(seed));
+    mixed_preemptions += std::accumulate(
+        newr.preemptions.begin(), newr.preemptions.end(), std::int64_t{0});
+  }
+  EXPECT_GT(mixed_preemptions, 0) << "the mixed-policy input never preempts";
 }
 
 TEST(Simulator, RunBatchEqualsFoldOfRuns) {

@@ -17,7 +17,7 @@
 #include "sched/bus.hpp"
 #include "sched/npfp_rta.hpp"
 #include "sched/priority.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "waters/generator.hpp"
 
 namespace ceta {
