@@ -12,45 +12,6 @@
 
 namespace ceta {
 
-namespace {
-
-/// FNV-1a over the id sequence, for the arena's dedup index.
-std::uint64_t chain_hash(const TaskId* data, std::size_t len) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<std::uint64_t>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-ChainArena::ChainId ChainArena::intern(const TaskId* data, std::size_t len) {
-  CETA_EXPECTS(len > 0, "ChainArena::intern: empty chain");
-  const std::uint64_t h = chain_hash(data, len);
-  std::vector<ChainId>& bucket = index_[h];
-  const ChainView candidate{data, len};
-  for (const ChainId id : bucket) {
-    if (refs_[id] == candidate) return id;
-  }
-  // Copy into block storage.  A chain never spans blocks and a block's
-  // capacity is fixed up front, so earlier views never move.
-  if (blocks_.empty() ||
-      blocks_.back().size() + len > blocks_.back().capacity()) {
-    blocks_.emplace_back();
-    blocks_.back().reserve(std::max(kBlockIds, len));
-  }
-  std::vector<TaskId>& block = blocks_.back();
-  const std::size_t start = block.size();
-  block.insert(block.end(), data, data + len);
-  stored_ids_ += len;
-  const ChainId id = static_cast<ChainId>(refs_.size());
-  refs_.push_back(ChainView{block.data() + start, len});
-  bucket.push_back(id);
-  return id;
-}
-
 SuffixBoundTable::SuffixBoundTable(const TaskGraph& g, ChainView chain,
                                    const ResponseTimeMap& rtm,
                                    HopBoundMethod method)
@@ -152,28 +113,33 @@ struct KernelState {
   std::vector<BackwardBounds> full;    // == backward_bounds per chain
 };
 
-/// Mutable per-analysis workspace: versioned stamp buffers (no clearing
-/// per pair), decomposition scratch, and the truncation-dedup memo.
+/// Mutable per-analysis workspace: a versioned stamp buffer holding the
+/// current row's chain (no clearing per row), and decomposition scratch.
 struct PairScratch {
   explicit PairScratch(std::size_t num_tasks)
       : stamp(num_tasks, 0), pos(num_tasks, 0) {}
 
   std::vector<std::uint32_t> stamp;
-  std::vector<std::uint32_t> pos;  // position in b, valid when stamped
+  std::vector<std::uint32_t> pos;  // position in the row's chain, if stamped
   std::uint32_t version = 0;
   std::vector<std::size_t> qa, qb;  // joint positions in a / b
   std::vector<BackwardBounds> wa, wb;
   std::vector<std::int64_t> x, y;
-  ChainArena arena;                 // interned truncated prefixes
-  std::unordered_map<std::uint64_t, Duration> memo;
-  std::uint64_t memo_hits = 0;
+  std::uint64_t sdiff_pairs = 0;    // pairs that reached Theorem 2
 
-  void bump_version() {
+  /// Stamp chain a (row i of the pair loop) with its task positions; every
+  /// pair (i, j) of the row then scans only chain j against it.
+  void stamp_row(ChainView a) {
     if (++version == 0) {
       std::fill(stamp.begin(), stamp.end(), 0);
       version = 1;
     }
+    for (std::size_t p = 0; p < a.size; ++p) {
+      stamp[a[p]] = version;
+      pos[a[p]] = static_cast<std::uint32_t>(p);
+    }
   }
+  bool stamped(TaskId t) const { return stamp[t] == version; }
 };
 
 /// Theorem 1 from precomputed bounds — mirror of the analyzer's
@@ -188,15 +154,14 @@ Duration pdiff_from_views(const TaskGraph& g, ChainView a, ChainView b,
   return o;
 }
 
-/// Mirror of the analyzer's structure_free, over views with the scratch
-/// stamp buffer: distinct heads and exactly one shared task (the tail).
-bool structure_free_views(ChainView a, ChainView b, PairScratch& s) {
+/// Mirror of the analyzer's structure_free, over views, with `a` the
+/// row's stamped chain: distinct heads and exactly one shared task (the
+/// tail).
+bool structure_free_views(ChainView a, ChainView b, const PairScratch& s) {
   if (a.front() == b.front()) return false;
-  s.bump_version();
-  for (const TaskId y : b) s.stamp[y] = s.version;
   std::size_t common = 0;
-  for (const TaskId x : a) {
-    if (s.stamp[x] == s.version && ++common > 1) return false;
+  for (const TaskId y : b) {
+    if (s.stamped(y) && ++common > 1) return false;
   }
   return common == 1;
 }
@@ -204,7 +169,8 @@ bool structure_free_views(ChainView a, ChainView b, PairScratch& s) {
 /// Theorem 2 on the (truncated) pair, with every sub-chain bound an O(1)
 /// table lookup.  Mirrors sdiff_pair_bound + decompose_fork_join without
 /// materializing joints or sub-chains: joint *positions* come from one
-/// stamp pass, sub-chains are index ranges of the parent chains.
+/// scan of b against the row stamp, sub-chains are index ranges of the
+/// parent chains.
 Duration sdiff_from_tables(const KernelState& st, std::size_t i,
                            std::size_t j, std::size_t la, std::size_t lb,
                            const BackwardBounds& ba, const BackwardBounds& bb,
@@ -213,25 +179,26 @@ Duration sdiff_from_tables(const KernelState& st, std::size_t i,
   const ChainView b{st.chains[j].data, lb};
   const TaskGraph& g = st.g;
 
-  // Joint positions (common tasks).  Mirrors common_tasks' order check:
-  // shared tasks must sit at strictly increasing b-positions.
-  s.bump_version();
-  for (std::size_t p = 0; p < lb; ++p) {
-    s.stamp[b[p]] = s.version;
-    s.pos[b[p]] = static_cast<std::uint32_t>(p);
-  }
+  // Joint positions (common tasks), from chain i's row stamp: scan the
+  // truncated b.  Truncation cuts the same common suffix off both chains,
+  // and a path holds each task once, so every shared task found lies in
+  // the truncated a too.  Mirrors common_tasks' order check from the other
+  // side: the shared tasks sit at strictly increasing a-positions exactly
+  // when they sit at strictly increasing b-positions, so the (qa, qb)
+  // sequence is the a-order scan's.
   s.qa.clear();
   s.qb.clear();
-  std::size_t prev_pb = std::numeric_limits<std::size_t>::max();
-  for (std::size_t p = 0; p < la; ++p) {
-    if (s.stamp[a[p]] != s.version) continue;
-    const std::size_t pb = s.pos[a[p]];
-    CETA_EXPECTS(prev_pb == std::numeric_limits<std::size_t>::max() ||
-                     pb > prev_pb,
+  std::size_t prev_pa = std::numeric_limits<std::size_t>::max();
+  for (std::size_t p = 0; p < lb; ++p) {
+    if (!s.stamped(b[p])) continue;
+    const std::size_t pa = s.pos[b[p]];
+    CETA_ASSERT(pa < la, "sdiff: shared task past the truncation point");
+    CETA_EXPECTS(prev_pa == std::numeric_limits<std::size_t>::max() ||
+                     pa > prev_pa,
                  "common_tasks: inconsistent order of shared tasks");
-    prev_pb = pb;
-    s.qa.push_back(p);
-    s.qb.push_back(pb);
+    prev_pa = pa;
+    s.qa.push_back(pa);
+    s.qb.push_back(p);
   }
   // Mirror fork_join_joints: drop a shared head, keep the analyzed tail.
   const bool shared_head = a.front() == b.front();
@@ -303,9 +270,8 @@ Duration sdiff_from_tables(const KernelState& st, std::size_t i,
   return separation;
 }
 
-/// The memoizable part of one pair: everything computed on the truncated
-/// chains (P-diff, and for the fork–join method its min with S-diff).
-/// Depends only on the truncated chain *contents* — the memo key.
+/// Everything computed on the truncated chains of one pair: P-diff, and for
+/// the fork–join method its min with S-diff.
 Duration truncated_pair_bound(const KernelState& st, std::size_t i,
                               std::size_t j, std::size_t la, std::size_t lb,
                               PairScratch& s) {
@@ -315,12 +281,13 @@ Duration truncated_pair_bound(const KernelState& st, std::size_t i,
   const BackwardBounds bb = st.tables[j].bounds(0, lb - 1);
   const Duration pdiff = pdiff_from_views(st.g, a, b, ba, bb);
   if (st.opt.method == DisparityMethod::kIndependent) return pdiff;
+  ++s.sdiff_pairs;
   const Duration sdiff = sdiff_from_tables(st, i, j, la, lb, ba, bb, s);
   return std::min(sdiff, pdiff);
 }
 
 /// One pair through the kernel — mirrors pair_disparity_bound_from branch
-/// for branch.
+/// for branch.  Chain i must be the scratch's stamped row.
 Duration kernel_pair_bound(const KernelState& st, std::size_t i,
                            std::size_t j, PairScratch& s) {
   const ChainView a = st.chains[i];
@@ -346,19 +313,7 @@ Duration kernel_pair_bound(const KernelState& st, std::size_t i,
                 "pair_disparity_bound: distinct chains truncated to equal");
   }
 
-  // Truncation dedup: many pairs share the same truncated (λ, ν); key the
-  // memo on the interned contents.
-  const ChainArena::ChainId ka = s.arena.intern(a.data, la);
-  const ChainArena::ChainId kb = s.arena.intern(b.data, lb);
-  const std::uint64_t key = (static_cast<std::uint64_t>(ka) << 32) | kb;
-  Duration truncated;
-  if (const auto it = s.memo.find(key); it != s.memo.end()) {
-    ++s.memo_hits;
-    truncated = it->second;
-  } else {
-    truncated = truncated_pair_bound(st, i, j, la, lb, s);
-    s.memo.emplace(key, truncated);
-  }
+  const Duration truncated = truncated_pair_bound(st, i, j, la, lb, s);
   if (st.opt.method == DisparityMethod::kIndependent) return truncated;
   // Fork–join: clamp by Theorem 1 on the full chains (reference line-up:
   // min(sdiff_trunc, pdiff_trunc, pdiff_full)).
@@ -385,8 +340,8 @@ DisparityReport pair_kernel_analyze(
       obs::MetricsRegistry::global().counter("disparity.kernel.analyses");
   static obs::Counter& pairs_counter =
       obs::MetricsRegistry::global().counter("disparity.kernel.pairs");
-  static obs::Counter& memo_hit_counter =
-      obs::MetricsRegistry::global().counter("disparity.kernel.memo_hits");
+  static obs::Counter& sdiff_counter =
+      obs::MetricsRegistry::global().counter("disparity.kernel.sdiff_pairs");
   runs.add();
   opt.validate();
   CETA_EXPECTS(full_bounds == nullptr || full_bounds->size() == chains.size(),
@@ -426,6 +381,7 @@ DisparityReport pair_kernel_analyze(
   std::vector<PairDisparity>& kept = report.pairs;
   if (opt.keep_pairs == KeepPairs::kAll) kept.reserve(total);
   for (std::size_t i = 0; i < n; ++i) {
+    scratch.stamp_row(st.chains[i]);
     for (std::size_t j = i + 1; j < n; ++j) {
       const PairDisparity pair{i, j, kernel_pair_bound(st, i, j, scratch)};
       report.worst_case = std::max(report.worst_case, pair.bound);
@@ -450,7 +406,7 @@ DisparityReport pair_kernel_analyze(
   if (opt.keep_pairs == KeepPairs::kTopK) {
     std::sort(kept.begin(), kept.end(), pair_better);
   }
-  memo_hit_counter.add(scratch.memo_hits);
+  sdiff_counter.add(scratch.sdiff_pairs);
   return report;
 }
 

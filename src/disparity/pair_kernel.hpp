@@ -14,10 +14,11 @@
 //     int64 sums.  One O(L) prefix-sum pass per chain (SuffixBoundTable)
 //     therefore answers W/B of *any* contiguous sub-chain in O(1):
 //     truncated chains are prefixes, fork–join sub-chains are infixes.
-//  2. Many (i, j) pairs truncate to the same (λ, ν).  Truncated prefixes
-//     are interned in a flat arena (offset+length views over shared
-//     buffers, no per-pair Path copies) and the truncated-pair bound is
-//     memoized on the interned id pair.
+//  2. Every pair of row i shares chain i.  The pair loop stamps chain i's
+//     tasks with their positions once per row, so each pair (i, j) finds
+//     its joints — and decides whether it is structure-free — with one
+//     scan of chain j, with no per-pair clearing or copies.  Truncated
+//     chains are prefix views (offset+length) of the caller's Paths.
 //
 // The K² pair loop is one serial pass, and DisparityOptions::keep_pairs
 // selects how much of the O(K²) pair vector is materialized.  Results are
@@ -30,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "chain/backward_bounds.hpp"
@@ -40,9 +40,8 @@
 
 namespace ceta {
 
-/// Non-owning view of an interned (or caller-owned) chain.  Views returned
-/// by ChainArena stay valid for the arena's lifetime; views over a Path
-/// are valid while that Path is.
+/// Non-owning view of a caller-owned chain (or a prefix of one); valid
+/// while the underlying Path is.
 struct ChainView {
   const TaskId* data = nullptr;
   std::size_t size = 0;
@@ -60,33 +59,6 @@ struct ChainView {
     }
     return true;
   }
-};
-
-/// Flat chain arena: interns task-id sequences into stable storage and
-/// dedups them, so equal chains (e.g. the truncated prefixes many pairs
-/// share) get one copy and one id.  Storage is block-allocated — a chain
-/// never spans blocks and blocks never reallocate — so views handed out
-/// earlier survive later intern() calls.
-class ChainArena {
- public:
-  using ChainId = std::uint32_t;
-
-  /// Intern a chain; returns the id of the existing copy if the identical
-  /// sequence was interned before.
-  ChainId intern(const TaskId* data, std::size_t len);
-  ChainId intern(ChainView v) { return intern(v.data, v.size); }
-
-  ChainView view(ChainId id) const { return refs_[id]; }
-  std::size_t num_chains() const { return refs_.size(); }
-  /// Total TaskIds stored (dedup diagnostics).
-  std::size_t num_ids() const { return stored_ids_; }
-
- private:
-  static constexpr std::size_t kBlockIds = std::size_t{1} << 14;
-  std::vector<std::vector<TaskId>> blocks_;
-  std::vector<ChainView> refs_;
-  std::unordered_map<std::uint64_t, std::vector<ChainId>> index_;
-  std::size_t stored_ids_ = 0;
 };
 
 /// O(L) prefix-sum tables over one chain, answering the backward-time

@@ -541,11 +541,15 @@ MultiBufferDesign AnalysisEngine::optimize_buffers(
   }
   if (channels.empty()) return design;
 
-  // Safe optimized bound: re-analyze the buffered copy (Lemma 6-aware
-  // chain bounds; FIFO depths change neither releases nor demand, so the
-  // WCRT map carries over).  Keep the design only if it actually helps.
+  // Safe optimized bound: re-analyze the buffered copy with the pair
+  // kernel (Lemma 6-aware chain bounds).  FIFO depths change neither
+  // releases nor demand, so the WCRT map carries over, nor the chain set,
+  // so base.chains is what enumerating the copy would give.  Only the
+  // worst case is read.  Keep the design only if it actually helps.
+  DisparityOptions reanalysis = opt;
+  reanalysis.keep_pairs = KeepPairs::kWorstOnly;
   const Duration optimized =
-      analyze_time_disparity(buffered, task, response_times(), opt)
+      pair_kernel_analyze(buffered, base.chains, response_times(), reanalysis)
           .worst_case;
   if (optimized >= design.baseline_bound) return design;
   design.channels = std::move(channels);

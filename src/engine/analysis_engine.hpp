@@ -229,10 +229,10 @@ class AnalysisEngine {
   /// channel; each group's window midpoint (the mean over its members,
   /// Lemma 1 windows anchored at r(J) = 0) is aligned — up to the
   /// granularity of the head period — with the stalest group's, and the
-  /// FIFO sizes follow Lemma 6.  The optimized bound re-runs
-  /// analyze_time_disparity on a buffered copy of graph(), so it is safe by
-  /// construction; when it does not improve on the baseline the trivial
-  /// design (no channels) is returned.
+  /// FIFO sizes follow Lemma 6.  The optimized bound re-runs the pair
+  /// kernel (bit-identical to analyze_time_disparity) on a buffered copy of
+  /// graph(), so it is safe by construction; when it does not improve on
+  /// the baseline the trivial design (no channels) is returned.
   /// @param task  Fusion task to design for; its head channels must be
   ///   unbuffered (PreconditionError otherwise).
   /// @param opt   Analyzer options for both bounds.  The baseline is the
@@ -240,8 +240,8 @@ class AnalysisEngine {
   ///   memoized chain_bounds().
   /// @throws CapacityError when the baseline report is DP-served
   ///   (`truncated`): the design needs the enumerated chain set.
-  /// Complexity: one (usually cached) disparity lookup plus one
-  /// enumerating analysis of the buffered copy.
+  /// Complexity: one (usually cached) disparity lookup plus one kernel
+  /// analysis of the buffered copy over the baseline's chain set.
   MultiBufferDesign optimize_buffers(TaskId task,
                                      const DisparityOptions& opt = {}) const;
 
@@ -396,7 +396,7 @@ class AnalysisEngine {
   /// Counting contract: each *logical* lookup is counted once, at the
   /// layer where it enters the engine.  disparity() counts one report
   /// lookup; the chain-set and chain-bound reads it performs internally
-  /// (to feed the pair kernel's memoized truncated-pair table) are
+  /// (to feed the pair kernel its chain set and full-chain bounds) are
   /// uncounted plumbing.  chain_bounds() counts one chain-bound lookup; its
   /// per-edge hop() reads are uncounted.  Direct hop()/chains() calls count
   /// at their own layer.  Uncounted reads still warm the caches and are

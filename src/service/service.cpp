@@ -70,9 +70,10 @@ std::int64_t to_int64(const JsonValue& v, const char* what) {
   if (!v.is_number()) {
     throw ProtocolError(std::string(what) + " must be a number");
   }
+  // int64 holds [-2^63, 2^63); both ends are exact doubles.  Casting any
+  // double outside that range is undefined behaviour.
   const double d = v.number;
-  if (!std::isfinite(d) || d != std::floor(d) ||
-      d < -9.2233720368547758e18 || d > 9.2233720368547758e18) {
+  if (!std::isfinite(d) || d != std::floor(d) || d < -0x1p63 || d >= 0x1p63) {
     throw ProtocolError(std::string(what) + " out of integer range");
   }
   return static_cast<std::int64_t>(d);

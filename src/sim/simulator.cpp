@@ -322,7 +322,7 @@ void Simulator::write_outputs(TaskId task, const TokenSlot& tok,
 
 void Simulator::push_release(TaskId task, std::int64_t job, Instant nominal) {
   if (++jobs_created_ > opt_.max_jobs) {
-    throw CapacityError("simulate: job cap exceeded (max_jobs)");
+    throw CapacityError("Simulator::run: job cap exceeded (max_jobs)");
   }
   const TaskRow& t = rows_[task];
   // Same draw as sample_release(), without the TaskGraph indirection.

@@ -661,7 +661,7 @@ TEST(EngineIncremental, OffsetPlanMatchesExactOracleOnEditedCopy) {
 TEST(EngineIncremental, LookupsAreCountedOnceAtTheEntryLayer) {
   // Regression pin for the double-count fix: a disparity() query counts
   // exactly one report lookup; its internal chain-set/bound/hop reads
-  // (feeding the pair kernel's memoized truncated-pair table) stay
+  // (feeding the pair kernel's chain set and full-chain bounds) stay
   // uncounted but still warm the caches.
   const TaskGraph g = two_ecu_chains();
   AnalysisEngine e{TaskGraph{g}};

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "disparity/analyzer.hpp"
 #include "engine/analysis_engine.hpp"
 #include "graph/generator.hpp"
 #include "helpers.hpp"
@@ -128,6 +129,46 @@ TEST(MultiBuffer, NeverWorseOnRandomFusionGraphs) {
       EXPECT_LT(d.optimized_bound, d.baseline_bound) << "seed " << seed;
     }
   }
+}
+
+TEST(MultiBuffer, OptimizedBoundMatchesReferenceOnBufferedCopy) {
+  // optimize_buffers re-analyzes its buffered copy with the pair kernel
+  // over the baseline's chain set.  Pin that against the reference
+  // analyzer on an explicitly buffered copy, at both methods; a trivial
+  // design must report the unbuffered graph's bound.
+  std::size_t graphs = 0;
+  std::size_t designed = 0;
+  for (std::uint64_t seed = 1; seed <= 120 && graphs < 40; ++seed) {
+    TaskGraph g;
+    if (seed % 2 == 0) {
+      g = testing::random_dag_graph(10 + seed % 8, 3, seed);
+    } else {
+      Rng rng(seed);
+      g = sensor_fusion_pipeline(2 + seed % 3, 1 + seed % 2);
+      WatersAssignOptions wopt;
+      wopt.num_ecus = 3;
+      assign_waters_parameters(g, wopt, rng);
+      if (!analyze_response_times(g).all_schedulable) continue;
+    }
+    const ResponseTimeMap rtm = testing::response_times_of(g);
+    const TaskId sink = g.sinks().front();
+    const AnalysisEngine engine(g, rtm);
+    for (const DisparityMethod m :
+         {DisparityMethod::kForkJoin, DisparityMethod::kIndependent}) {
+      DisparityOptions opt;
+      opt.method = m;
+      const MultiBufferDesign d = engine.optimize_buffers(sink, opt);
+      TaskGraph buffered = g;
+      apply_multi_buffer_design(buffered, d);
+      EXPECT_EQ(d.optimized_bound,
+                analyze_time_disparity(buffered, sink, rtm, opt).worst_case)
+          << "seed " << seed << " method " << static_cast<int>(m);
+      if (m == DisparityMethod::kForkJoin && !d.channels.empty()) ++designed;
+    }
+    ++graphs;
+  }
+  EXPECT_GE(graphs, 30u);
+  EXPECT_GE(designed, 5u);
 }
 
 TEST(MultiBuffer, RejectsPreBufferedHeadChannel) {

@@ -1,6 +1,6 @@
 // Pairwise kernel (disparity/pair_kernel.hpp): bit-identical equivalence
-// with the reference analyzer, suffix-table exactness, truncation dedup,
-// and KeepPairs semantics.
+// with the reference analyzer, suffix-table exactness, and KeepPairs
+// semantics.
 
 #include <algorithm>
 #include <cstddef>
@@ -86,7 +86,7 @@ void expect_kernel_matches_reference(const TaskGraph& g, TaskId task,
 
 /// A chain of `stages` diamonds hanging off one source: 2^stages source
 /// chains through the sink, every pair sharing the source and the merge
-/// tasks (dense joints, heavy truncation dedup).
+/// tasks (dense joints; many pairs truncate to the same prefixes).
 TaskGraph diamond_stack_graph(std::size_t stages) {
   TaskGraph g;
   Task s;
@@ -165,46 +165,6 @@ TEST(SuffixBoundTable, SingleTaskSubChainIsZero) {
 }
 
 // ---------------------------------------------------------------------------
-// ChainArena
-
-TEST(ChainArena, DedupsIdenticalContent) {
-  ChainArena arena;
-  const std::vector<TaskId> a = {1, 2, 3, 4};
-  const std::vector<TaskId> b = {1, 2, 3, 4};  // equal content, distinct buffer
-  const std::vector<TaskId> c = {1, 2, 3};
-  const auto ia = arena.intern(a.data(), a.size());
-  const auto ib = arena.intern(b.data(), b.size());
-  const auto ic = arena.intern(c.data(), c.size());
-  EXPECT_EQ(ia, ib);
-  EXPECT_NE(ia, ic);
-  EXPECT_EQ(arena.num_chains(), 2u);
-  EXPECT_EQ(arena.num_ids(), 7u);  // 4 + 3, the duplicate stored once
-  EXPECT_EQ(arena.view(ia), (ChainView{a.data(), a.size()}));
-}
-
-TEST(ChainArena, ViewsStayValidAcrossBlockGrowth) {
-  ChainArena arena;
-  // Force several storage blocks (16K ids per block) and re-check every
-  // view afterwards: block allocation must never move earlier chains.
-  std::vector<ChainArena::ChainId> ids;
-  std::vector<TaskId> buf(8);
-  for (TaskId n = 0; n < 6000; ++n) {
-    for (std::size_t k = 0; k < buf.size(); ++k) {
-      buf[k] = n * 8 + static_cast<TaskId>(k);
-    }
-    ids.push_back(arena.intern(buf.data(), buf.size()));
-  }
-  EXPECT_EQ(arena.num_chains(), 6000u);
-  EXPECT_EQ(arena.num_ids(), 48000u);
-  for (TaskId n = 0; n < 6000; ++n) {
-    const ChainView v = arena.view(ids[n]);
-    ASSERT_EQ(v.size, 8u);
-    EXPECT_EQ(v.front(), n * 8);
-    EXPECT_EQ(v.back(), n * 8 + 7);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Kernel ≡ reference
 
 TEST(PairKernel, MatchesReferenceOnHandGraphs) {
@@ -254,6 +214,44 @@ TEST(PairKernel, MatchesReferenceAcross100WatersGraphs) {
     const TaskId sink = g.sinks().front();
     expect_kernel_matches_reference(g, sink, response_times_of(g),
                                     "seed " + std::to_string(seed));
+  }
+}
+
+TEST(PairKernel, MatchesReferenceOnDenseJoints) {
+  // Pair shapes with many joints per pair, many pairs truncating to the
+  // same prefixes, and shared tasks of the untruncated chains lying past
+  // the truncation point, which the joint scan must never pick up.
+  {
+    const TaskGraph g = diamond_stack_graph(6);  // 64 chains
+    const TaskId sink = g.sinks().front();
+    ASSERT_EQ(enumerate_source_chains(g, sink).size(), 64u);
+    expect_kernel_matches_reference(g, sink, response_times_of(g),
+                                    "diamond stack 6");
+  }
+  std::size_t wide = 0;
+  for (std::uint64_t seed = 1; seed <= 400 && wide < 20; ++seed) {
+    const TaskGraph g = random_dag_graph(14 + seed % 7, 3, seed);
+    const TaskId sink = g.sinks().front();
+    const std::size_t k = count_source_chains(g, sink);
+    if (k < 20 || k > 120) continue;
+    expect_kernel_matches_reference(g, sink, response_times_of(g),
+                                    "dense seed " + std::to_string(seed));
+    ++wide;
+  }
+  EXPECT_EQ(wide, 20u);
+  {
+    // Mixed semantics: every other non-source task reads and writes at
+    // its LET boundaries, so both backward-bound branches meet in a pair.
+    TaskGraph g = random_dag_graph(16, 3, 4242);
+    for (TaskId t = 0; t < g.num_tasks(); ++t) {
+      if (!g.is_source(t) && t % 2 == 0) {
+        g.task(t).comm = CommSemantics::kLet;
+      }
+    }
+    const TaskId sink = g.sinks().front();
+    ASSERT_GE(count_source_chains(g, sink), 2u);
+    expect_kernel_matches_reference(g, sink, response_times_of(g),
+                                    "mixed LET");
   }
 }
 

@@ -231,6 +231,31 @@ TEST(ServiceErrors, UnknownTasksAndBadOptionsAndBadGraphs) {
   EXPECT_EQ(core.session_count(), 1u);
 }
 
+TEST(ServiceErrors, WireIntegersAtTheInt64EdgesAreRangeChecked) {
+  ServiceCore core;
+  create(core, "g", kTwoSinkGraph);
+  const auto set_offset = [&core](std::int64_t id, const std::string& ns) {
+    return core.handle(
+        1, request(id, "mutate",
+                   "\"session\":\"g\",\"edits\":[{\"kind\":\"set_offset\","
+                   "\"task\":\"A\",\"offset_ns\":" +
+                       ns + "}]"));
+  };
+  // 2^63 is one past INT64_MAX and an exact double: it must be a
+  // structured protocol error, not an out-of-range cast.
+  const std::string msg =
+      expect_error(set_offset(2, "9223372036854775808"), "bad_request");
+  EXPECT_NE(msg.find("out of integer range"), std::string::npos) << msg;
+  // -2^63 is INT64_MIN itself: whatever the engine makes of the offset,
+  // the wire decoder must not call it out of range.
+  const JsonValue doc = reply_of(set_offset(3, "-9223372036854775808"));
+  if (!doc.at("ok").boolean) {
+    EXPECT_EQ(doc.at("error").at("message").string.find("out of integer range"),
+              std::string::npos)
+        << doc.at("error").at("message").string;
+  }
+}
+
 TEST(ServiceErrors, OversizedReplyNamesTheCap) {
   ServiceConfig cfg;
   cfg.max_frame_bytes = 4096;

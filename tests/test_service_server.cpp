@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/client.hpp"
+#include "service_client/client.hpp"
 
 namespace ceta::service {
 namespace {
