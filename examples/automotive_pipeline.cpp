@@ -91,7 +91,7 @@ int main() {
             << " CAN messages inserted)\n";
 
   // One engine for the whole bus-extended pipeline; both analyzed tasks
-  // and both methods share its RTA and chain-bound caches.
+  // and both methods share its RTA and chain-set caches.
   const AnalysisEngine engine(with_bus);
   if (!engine.schedulable()) {
     std::cerr << "pipeline is not schedulable\n";

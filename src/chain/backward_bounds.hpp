@@ -19,8 +19,6 @@
 
 #pragma once
 
-#include <functional>
-
 #include "graph/paths.hpp"
 #include "graph/task_graph.hpp"
 #include "sched/npfp_rta.hpp"
@@ -64,13 +62,6 @@ Duration bcbt_bound(const TaskGraph& g, const Path& chain,
 BackwardBounds backward_bounds(
     const TaskGraph& g, const Path& chain, const ResponseTimeMap& rtm,
     HopBoundMethod method = HopBoundMethod::kNonPreemptive);
-
-/// A pluggable source of chain backward bounds.  The pair analyses
-/// (Theorem 1/2) evaluate bounds for many overlapping (sub-)chains; a
-/// provider lets a session cache (engine/AnalysisEngine) memoize them.
-/// Must return exactly what `backward_bounds` returns for the same chain.
-using BackwardBoundsFn =
-    std::function<BackwardBounds(const Path& chain, HopBoundMethod method)>;
 
 /// Extra backward shift contributed by FIFO channels along the chain
 /// (Lemma 6 applied hop-wise): upper / lower window edge.  Zero for a

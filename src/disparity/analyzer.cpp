@@ -55,14 +55,6 @@ bool structure_free(const Path& a, const Path& b) {
   return common == 1;  // exactly the shared tail
 }
 
-/// Provider evaluating bounds directly (the un-memoized default).
-BackwardBoundsFn direct_bounds(const TaskGraph& g,
-                               const ResponseTimeMap& rtm) {
-  return [&g, &rtm](const Path& chain, HopBoundMethod m) {
-    return backward_bounds(g, chain, rtm, m);
-  };
-}
-
 }  // namespace
 
 void DisparityOptions::validate() const {
@@ -153,8 +145,8 @@ Duration pair_disparity_bound_from(const TaskGraph& g, const Path& a,
                                    const Path& b,
                                    const BackwardBounds& full_a,
                                    const BackwardBounds& full_b,
-                                   const DisparityOptions& opt,
-                                   const BackwardBoundsFn& bounds) {
+                                   const ResponseTimeMap& rtm,
+                                   const DisparityOptions& opt) {
   const bool truncate = disparity_uses_truncation(opt);
   if (opt.method == DisparityMethod::kIndependent && !truncate) {
     return pdiff_from_bounds(g, a, b, full_a, full_b);
@@ -174,7 +166,7 @@ Duration pair_disparity_bound_from(const TaskGraph& g, const Path& a,
     lb = &tb;
   }
   if (opt.method == DisparityMethod::kIndependent) {
-    return pdiff_pair_bound(g, *la, *lb, opt.hop_method, bounds);
+    return pdiff_pair_bound(g, *la, *lb, rtm, opt.hop_method);
   }
   // S-diff: Theorem 2, clamped by Theorem 1 (on the same truncated chains
   // and on the full chains).  All three are safe bounds; Theorem 2 alone
@@ -182,8 +174,8 @@ Duration pair_disparity_bound_from(const TaskGraph& g, const Path& a,
   // decomposition re-counts response-time slack at every joint and can
   // exceed Theorem 1 by O(R) in rare instances — and the clamp keeps the
   // reported S-diff <= P-diff by construction.
-  Duration best = sdiff_pair_bound(g, *la, *lb, opt.hop_method, bounds).bound;
-  best = std::min(best, pdiff_pair_bound(g, *la, *lb, opt.hop_method, bounds));
+  Duration best = sdiff_pair_bound(g, *la, *lb, rtm, opt.hop_method).bound;
+  best = std::min(best, pdiff_pair_bound(g, *la, *lb, rtm, opt.hop_method));
   best = std::min(best, pdiff_from_bounds(g, a, b, full_a, full_b));
   return best;
 }
@@ -211,8 +203,7 @@ Duration pair_disparity_bound(const TaskGraph& g, const Path& a,
   CETA_EXPECTS(a != b, "pair_disparity_bound: chains must differ");
   const BackwardBounds full_a = backward_bounds(g, a, rtm, opt.hop_method);
   const BackwardBounds full_b = backward_bounds(g, b, rtm, opt.hop_method);
-  return pair_disparity_bound_from(g, a, b, full_a, full_b, opt,
-                                   direct_bounds(g, rtm));
+  return pair_disparity_bound_from(g, a, b, full_a, full_b, rtm, opt);
 }
 
 DisparityReport analyze_time_disparity(const TaskGraph& g, TaskId task,
@@ -239,13 +230,12 @@ DisparityReport analyze_time_disparity(const TaskGraph& g, TaskId task,
     full.push_back(backward_bounds(g, c, rtm, opt.hop_method));
   }
 
-  const BackwardBoundsFn bounds = direct_bounds(g, rtm);
   report.pairs.reserve(n < 2 ? 0 : n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const Duration bound =
           pair_disparity_bound_from(g, report.chains[i], report.chains[j],
-                                    full[i], full[j], opt, bounds);
+                                    full[i], full[j], rtm, opt);
       report.pairs.push_back(PairDisparity{i, j, bound});
       report.worst_case = std::max(report.worst_case, bound);
     }

@@ -178,17 +178,15 @@ Duration pair_disparity_bound(const TaskGraph& g, const Path& a,
                               const Path& b, const ResponseTimeMap& rtm,
                               const DisparityOptions& opt = {});
 
-/// Pair bound reusing precomputed *full-chain* backward bounds, with every
-/// further (truncated/sub-)chain bound pulled from `bounds`.  This is the
-/// shared core of analyze_time_disparity and AnalysisEngine::disparity:
-/// the task-level analyzer visits O(|P|²) pairs and must not recompute the
-/// full-chain bounds per pair.  `bounds` must agree with `backward_bounds`
-/// on g (pass a memoizing provider to amortize across pairs and calls).
+/// Pair bound reusing precomputed *full-chain* backward bounds; every
+/// further (truncated/sub-)chain bound is evaluated on g under `rtm`.  The
+/// core of analyze_time_disparity, which visits O(|P|²) pairs and must not
+/// recompute the full-chain bounds per pair.
 Duration pair_disparity_bound_from(const TaskGraph& g, const Path& a,
                                    const Path& b,
                                    const BackwardBounds& full_a,
                                    const BackwardBounds& full_b,
-                                   const DisparityOptions& opt,
-                                   const BackwardBoundsFn& bounds);
+                                   const ResponseTimeMap& rtm,
+                                   const DisparityOptions& opt);
 
 }  // namespace ceta

@@ -6,12 +6,11 @@
 
 namespace ceta {
 
-namespace {
-
-/// Algorithm 1 proper, starting from a computed Theorem 2 result.  Single
-/// source of truth for both design_buffer overloads.
-BufferDesign design_from_forkjoin(const TaskGraph& g, const Path& lambda,
-                                  const Path& nu, const ForkJoinBound& fj) {
+BufferDesign design_buffer(const TaskGraph& g, const Path& lambda,
+                           const Path& nu, const ResponseTimeMap& rtm,
+                           HopBoundMethod method) {
+  obs::Span span("disparity", "design_buffer");
+  const ForkJoinBound fj = sdiff_pair_bound(g, lambda, nu, rtm, method);
   BufferDesign d;
   d.baseline_bound = fj.bound;
   d.optimized_bound = fj.bound;
@@ -54,24 +53,6 @@ BufferDesign design_from_forkjoin(const TaskGraph& g, const Path& lambda,
   // drops by exactly L.
   d.optimized_bound = d.baseline_bound - d.shift;
   return d;
-}
-
-}  // namespace
-
-BufferDesign design_buffer(const TaskGraph& g, const Path& lambda,
-                           const Path& nu, const ResponseTimeMap& rtm,
-                           HopBoundMethod method) {
-  obs::Span span("disparity", "design_buffer");
-  return design_from_forkjoin(g, lambda, nu,
-                              sdiff_pair_bound(g, lambda, nu, rtm, method));
-}
-
-BufferDesign design_buffer(const TaskGraph& g, const Path& lambda,
-                           const Path& nu, HopBoundMethod method,
-                           const BackwardBoundsFn& bounds) {
-  obs::Span span("disparity", "design_buffer");
-  return design_from_forkjoin(
-      g, lambda, nu, sdiff_pair_bound(g, lambda, nu, method, bounds));
 }
 
 void apply_buffer_design(TaskGraph& g, const BufferDesign& design) {

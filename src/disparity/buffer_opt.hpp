@@ -62,15 +62,6 @@ BufferDesign design_buffer(const TaskGraph& g, const Path& lambda,
                            HopBoundMethod method =
                                HopBoundMethod::kNonPreemptive);
 
-/// @brief Same design with every sub-chain's backward bounds pulled from
-/// `bounds` instead of recomputed — the memoization hook used by
-/// AnalysisEngine::optimize_buffer_pair.
-/// @param bounds  Must agree with backward_bounds on g (see
-///   sdiff_pair_bound).
-BufferDesign design_buffer(const TaskGraph& g, const Path& lambda,
-                           const Path& nu, HopBoundMethod method,
-                           const BackwardBoundsFn& bounds);
-
 /// @brief Apply a design to a graph (sets the channel's FIFO size).
 /// @param design  As returned by design_buffer; sizes <= 1 are no-ops.
 /// Complexity: O(E) edge lookup.

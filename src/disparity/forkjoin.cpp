@@ -12,15 +12,6 @@ namespace ceta {
 ForkJoinBound sdiff_pair_bound(const TaskGraph& g, const Path& lambda,
                                const Path& nu, const ResponseTimeMap& rtm,
                                HopBoundMethod method) {
-  return sdiff_pair_bound(g, lambda, nu, method,
-                          [&](const Path& chain, HopBoundMethod m) {
-                            return backward_bounds(g, chain, rtm, m);
-                          });
-}
-
-ForkJoinBound sdiff_pair_bound(const TaskGraph& g, const Path& lambda,
-                               const Path& nu, HopBoundMethod method,
-                               const BackwardBoundsFn& bounds) {
   obs::Span span("disparity", "sdiff_pair_bound");
   CETA_EXPECTS(!lambda.empty() && !nu.empty(), "sdiff_pair_bound: empty chain");
   CETA_EXPECTS(lambda.back() == nu.back(),
@@ -45,8 +36,8 @@ ForkJoinBound sdiff_pair_bound(const TaskGraph& g, const Path& lambda,
   }
   if (jitter_blocks) {
     out.degraded = true;
-    const BackwardBounds bl = bounds(lambda, method);
-    const BackwardBounds bn = bounds(nu, method);
+    const BackwardBounds bl = backward_bounds(g, lambda, rtm, method);
+    const BackwardBounds bn = backward_bounds(g, nu, rtm, method);
     out.alpha1 = bl;
     out.beta1 = bn;
     out.x.assign(c, 0);
@@ -61,8 +52,8 @@ ForkJoinBound sdiff_pair_bound(const TaskGraph& g, const Path& lambda,
   // Backward-time bounds of every sub-chain pair.
   std::vector<BackwardBounds> wa(c), wb(c);
   for (std::size_t i = 0; i < c; ++i) {
-    wa[i] = bounds(d.alpha[i], method);
-    wb[i] = bounds(d.beta[i], method);
+    wa[i] = backward_bounds(g, d.alpha[i], rtm, method);
+    wb[i] = backward_bounds(g, d.beta[i], rtm, method);
   }
   out.alpha1 = wa[0];
   out.beta1 = wb[0];

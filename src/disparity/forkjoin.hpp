@@ -64,13 +64,4 @@ ForkJoinBound sdiff_pair_bound(const TaskGraph& g, const Path& lambda,
                                HopBoundMethod method =
                                    HopBoundMethod::kNonPreemptive);
 
-/// Same bound with every (sub-)chain's backward bounds pulled from
-/// `bounds` instead of being recomputed.  The Theorem 2 recursion needs
-/// bounds for all 2c sub-chains of the decomposition, and chain pairs of
-/// the same sink share many of them — the memoization hook used by
-/// AnalysisEngine.  `bounds` must agree with `backward_bounds` on g.
-ForkJoinBound sdiff_pair_bound(const TaskGraph& g, const Path& lambda,
-                               const Path& nu, HopBoundMethod method,
-                               const BackwardBoundsFn& bounds);
-
 }  // namespace ceta

@@ -331,10 +331,10 @@ bool pair_better(const PairDisparity& p, const PairDisparity& q) {
 
 }  // namespace
 
-DisparityReport pair_kernel_analyze(
-    const TaskGraph& g, const std::vector<Path>& chains,
-    const ResponseTimeMap& rtm, const DisparityOptions& opt,
-    const std::vector<BackwardBounds>* full_bounds) {
+DisparityReport pair_kernel_analyze(const TaskGraph& g,
+                                    const std::vector<Path>& chains,
+                                    const ResponseTimeMap& rtm,
+                                    const DisparityOptions& opt) {
   obs::Span span("disparity", "pair_kernel");
   static obs::Counter& runs =
       obs::MetricsRegistry::global().counter("disparity.kernel.analyses");
@@ -344,8 +344,6 @@ DisparityReport pair_kernel_analyze(
       obs::MetricsRegistry::global().counter("disparity.kernel.sdiff_pairs");
   runs.add();
   opt.validate();
-  CETA_EXPECTS(full_bounds == nullptr || full_bounds->size() == chains.size(),
-               "pair_kernel_analyze: full_bounds/chains size mismatch");
 
   DisparityReport report;
   report.worst_case = Duration::zero();
@@ -361,11 +359,7 @@ DisparityReport pair_kernel_analyze(
     const ChainView v{c.data(), c.size()};
     st.chains.push_back(v);
     st.tables.emplace_back(g, v, rtm, opt.hop_method);
-    // Full-chain bounds: caller-provided (the engine's memoized values) or
-    // one O(1) table lookup — identical either way.
-    st.full.push_back(full_bounds != nullptr
-                          ? (*full_bounds)[st.full.size()]
-                          : st.tables.back().full());
+    st.full.push_back(st.tables.back().full());
   }
 
   const std::size_t total = n < 2 ? 0 : n * (n - 1) / 2;

@@ -106,12 +106,10 @@ DisparityReport analyze_time_disparity_kernel(const TaskGraph& g, TaskId task,
                                               const DisparityOptions& opt = {});
 
 /// Kernel core over a pre-enumerated chain set (the engine passes its
-/// memoized set and full-chain bounds; `full_bounds`, when given, must
-/// equal backward_bounds of each chain and is index-aligned with
-/// `chains`).  The report's chain vector is a copy of `chains`.
-DisparityReport pair_kernel_analyze(
-    const TaskGraph& g, const std::vector<Path>& chains,
-    const ResponseTimeMap& rtm, const DisparityOptions& opt,
-    const std::vector<BackwardBounds>* full_bounds = nullptr);
+/// memoized set).  The report's chain vector is a copy of `chains`.
+DisparityReport pair_kernel_analyze(const TaskGraph& g,
+                                    const std::vector<Path>& chains,
+                                    const ResponseTimeMap& rtm,
+                                    const DisparityOptions& opt);
 
 }  // namespace ceta

@@ -26,15 +26,6 @@ Duration independent_window_separation(const BackwardBounds& lambda,
 Duration pdiff_pair_bound(const TaskGraph& g, const Path& lambda,
                           const Path& nu, const ResponseTimeMap& rtm,
                           HopBoundMethod method) {
-  return pdiff_pair_bound(g, lambda, nu, method,
-                          [&](const Path& chain, HopBoundMethod m) {
-                            return backward_bounds(g, chain, rtm, m);
-                          });
-}
-
-Duration pdiff_pair_bound(const TaskGraph& g, const Path& lambda,
-                          const Path& nu, HopBoundMethod method,
-                          const BackwardBoundsFn& bounds) {
   obs::Span span("disparity", "pdiff_pair_bound");
   CETA_EXPECTS(!lambda.empty() && !nu.empty(),
                "pdiff_pair_bound: empty chain");
@@ -42,8 +33,8 @@ Duration pdiff_pair_bound(const TaskGraph& g, const Path& lambda,
                "pdiff_pair_bound: chains must end at the same task");
   CETA_EXPECTS(lambda != nu, "pdiff_pair_bound: chains must differ");
 
-  const BackwardBounds bl = bounds(lambda, method);
-  const BackwardBounds bn = bounds(nu, method);
+  const BackwardBounds bl = backward_bounds(g, lambda, rtm, method);
+  const BackwardBounds bn = backward_bounds(g, nu, rtm, method);
   const Duration o = independent_window_separation(bl, bn);
 
   if (lambda.front() == nu.front() &&

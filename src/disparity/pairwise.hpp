@@ -31,11 +31,4 @@ Duration pdiff_pair_bound(const TaskGraph& g, const Path& lambda,
                           HopBoundMethod method =
                               HopBoundMethod::kNonPreemptive);
 
-/// Same bound with the chain backward bounds pulled from `bounds` instead
-/// of being recomputed — the memoization hook used by AnalysisEngine.
-/// `bounds` must agree with `backward_bounds` on g.
-Duration pdiff_pair_bound(const TaskGraph& g, const Path& lambda,
-                          const Path& nu, HopBoundMethod method,
-                          const BackwardBoundsFn& bounds);
-
 }  // namespace ceta

@@ -36,12 +36,6 @@ std::size_t hash_mix(std::size_t seed, std::uint64_t v) {
 
 }  // namespace
 
-std::size_t AnalysisEngine::ChainKeyHash::operator()(const ChainKey& k) const {
-  std::size_t h = hash_mix(0, static_cast<std::uint64_t>(k.method));
-  for (const TaskId id : k.chain) h = hash_mix(h, id);
-  return h;
-}
-
 std::size_t AnalysisEngine::ReportKeyHash::operator()(
     const ReportKey& k) const {
   std::size_t h = hash_mix(0, k.task);
@@ -57,23 +51,15 @@ std::size_t AnalysisEngine::ReportKeyHash::operator()(
 
 AnalysisEngine::Instruments::Instruments(obs::MetricsRegistry& r)
     : rta_runs(r.counter("engine.rta.runs")),
-      hop_hits(r.counter("engine.hop.hits")),
-      hop_misses(r.counter("engine.hop.misses")),
-      chain_bound_hits(r.counter("engine.chain_bounds.hits")),
-      chain_bound_misses(r.counter("engine.chain_bounds.misses")),
       chain_set_hits(r.counter("engine.chain_sets.hits")),
       chain_set_misses(r.counter("engine.chain_sets.misses")),
       report_hits(r.counter("engine.reports.hits")),
       report_misses(r.counter("engine.reports.misses")),
-      hop_stale(r.counter("engine.hop.stale")),
-      chain_bound_stale(r.counter("engine.chain_bounds.stale")),
       chain_set_stale(r.counter("engine.chain_sets.stale")),
       report_stale(r.counter("engine.reports.stale")),
       mutate_commits(r.counter("engine.mutate.commits")),
       mutate_edits(r.counter("engine.mutate.edits")),
       mutate_dirty_rta(r.counter("engine.mutate.dirty.rta_tasks")),
-      mutate_dirty_bounds(r.counter("engine.mutate.dirty.bound_tasks")),
-      mutate_dirty_edges(r.counter("engine.mutate.dirty.edges")),
       mutate_dirty_chain_sets(r.counter("engine.mutate.dirty.chain_sets")),
       mutate_dirty_reports(r.counter("engine.mutate.dirty.reports")),
       rta_refreshed_tasks(r.counter("engine.rta.refreshed_tasks")),
@@ -86,7 +72,6 @@ AnalysisEngine::AnalysisEngine(TaskGraph graph, EngineOptions opt)
     : graph_(std::move(graph)), opt_(opt) {
   graph_.validate();
   ecus_ = EcuIndex(graph_);
-  task_epoch_.assign(graph_.num_tasks(), 0);
   chain_set_epoch_.assign(graph_.num_tasks(), 0);
   report_epoch_.assign(graph_.num_tasks(), 0);
 }
@@ -99,7 +84,6 @@ AnalysisEngine::AnalysisEngine(TaskGraph graph, ResponseTimeMap rtm,
                "AnalysisEngine: response-time map size mismatch");
   external_rtm_ = std::make_unique<ResponseTimeMap>(std::move(rtm));
   ecus_ = EcuIndex(graph_);
-  task_epoch_.assign(graph_.num_tasks(), 0);
   chain_set_epoch_.assign(graph_.num_tasks(), 0);
   report_epoch_.assign(graph_.num_tasks(), 0);
 }
@@ -111,13 +95,8 @@ AnalysisEngine::AnalysisEngine(const AnalysisEngine& other, CloneTag)
       opt_(other.opt_),
       ecus_(other.ecus_),
       commit_epoch_(other.commit_epoch_),
-      task_epoch_(other.task_epoch_),
       chain_set_epoch_(other.chain_set_epoch_),
       report_epoch_(other.report_epoch_),
-      buffer_edge_epoch_(other.buffer_edge_epoch_),
-      removed_edge_epoch_(other.removed_edge_epoch_),
-      hop_cache_(other.hop_cache_),
-      chain_bound_cache_(other.chain_bound_cache_),
       report_cache_(other.report_cache_) {
   if (other.rta_) rta_ = std::make_unique<RtaResult>(*other.rta_);
   if (other.external_rtm_) {
@@ -137,8 +116,7 @@ AnalysisEngine::AnalysisEngine(const AnalysisEngine& other, CloneTag)
 
 std::unique_ptr<AnalysisEngine> AnalysisEngine::clone() const {
   obs::Span span("engine", "clone");
-  const std::scoped_lock lock(rta_mutex_, hop_mutex_, chain_bound_mutex_,
-                              chain_set_mutex_, report_mutex_);
+  const std::scoped_lock lock(rta_mutex_, chain_set_mutex_, report_mutex_);
   return std::unique_ptr<AnalysisEngine>(new AnalysisEngine(*this, CloneTag{}));
 }
 
@@ -197,120 +175,9 @@ void AnalysisEngine::note_survivor(std::uint64_t stamp) const {
   if (commit_epoch_ != 0 && stamp < commit_epoch_) ins_.survived_hits.add();
 }
 
-std::uint64_t AnalysisEngine::hop_inputs_epoch(TaskId from, TaskId to) const {
-  // Hops read task parameters and WCRTs but never channel depths, so only
-  // removal epochs apply here — buffer resizes must not dirty hop entries
-  // (§9 row "buffer": hop bounds survive).
-  std::uint64_t e = std::max(task_epoch_[from], task_epoch_[to]);
-  if (!removed_edge_epoch_.empty()) {
-    const auto it = removed_edge_epoch_.find(
-        static_cast<std::uint64_t>(from) * graph_.num_tasks() + to);
-    if (it != removed_edge_epoch_.end()) e = std::max(e, it->second);
-  }
-  return e;
-}
-
-std::uint64_t AnalysisEngine::chain_inputs_epoch(const Path& chain) const {
-  std::uint64_t e = 0;
-  for (const TaskId t : chain) e = std::max(e, task_epoch_[t]);
-  const auto edge_max = [&](
-      const std::unordered_map<std::uint64_t, std::uint64_t>& epochs) {
-    if (epochs.empty()) return;
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      const auto it = epochs.find(
-          static_cast<std::uint64_t>(chain[i]) * graph_.num_tasks() +
-          chain[i + 1]);
-      if (it != epochs.end()) e = std::max(e, it->second);
-    }
-  };
-  edge_max(buffer_edge_epoch_);  // Lemma 6 shift moves W(π)/B(π)
-  edge_max(removed_edge_epoch_);
-  return e;
-}
-
-Duration AnalysisEngine::hop(TaskId from, TaskId to,
-                             HopBoundMethod method) const {
-  return hop_impl(from, to, method, /*counted=*/true);
-}
-
-Duration AnalysisEngine::hop_impl(TaskId from, TaskId to,
-                                  HopBoundMethod method, bool counted) const {
-  // Edge ids are dense (< num_tasks each), so (from, to, method) packs
-  // losslessly into one word.
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from) * graph_.num_tasks() + to) * 2 +
-      static_cast<std::uint64_t>(method);
-  obs::Span span("engine", "hop");
-  bool stale = false;
-  {
-    const std::lock_guard<std::mutex> lock(hop_mutex_);
-    const auto it = hop_cache_.find(key);
-    if (it != hop_cache_.end()) {
-      if (it->second.stamp >= hop_inputs_epoch(from, to)) {
-        if (counted) ins_.hop_hits.add();
-        note_survivor(it->second.stamp);
-        span.arg("cache", "hit");
-        return it->second.value;
-      }
-      ins_.hop_stale.add();
-      stale = true;
-    }
-  }
-  span.arg("cache", stale ? "stale" : "miss");
-  const Duration theta =
-      hop_bound(graph_, from, to, response_times(), method);
-  const std::lock_guard<std::mutex> lock(hop_mutex_);
-  if (counted) ins_.hop_misses.add();
-  hop_cache_[key] = {theta, commit_epoch_};
-  return theta;
-}
-
 BackwardBounds AnalysisEngine::chain_bounds(const Path& chain,
                                             HopBoundMethod method) const {
-  return chain_bounds_impl(chain, method, /*counted=*/true);
-}
-
-BackwardBounds AnalysisEngine::chain_bounds_impl(const Path& chain,
-                                                 HopBoundMethod method,
-                                                 bool counted) const {
-  ChainKey key{chain, method};
-  obs::Span span("engine", "chain_bounds");
-  bool stale = false;
-  {
-    const std::lock_guard<std::mutex> lock(chain_bound_mutex_);
-    const auto it = chain_bound_cache_.find(key);
-    if (it != chain_bound_cache_.end()) {
-      if (it->second.stamp >= chain_inputs_epoch(chain)) {
-        if (counted) ins_.chain_bound_hits.add();
-        note_survivor(it->second.stamp);
-        span.arg("cache", "hit");
-        return it->second.value;
-      }
-      ins_.chain_bound_stale.add();
-      stale = true;
-    }
-  }
-  span.arg("cache", stale ? "stale" : "miss");
-  // B(π) first: bcbt_bound validates the chain (path of the graph, finite
-  // WCRTs), exactly like the free backward_bounds entry point.  W(π) is
-  // then assembled from the memoized hops — bit-identical to wcbt_bound,
-  // which sums the same θs left to right.  The nested hop reads are
-  // uncounted plumbing of this one logical chain-bound lookup.
-  BackwardBounds b;
-  b.bcbt = bcbt_bound(graph_, chain, response_times());
-  if (chain.size() == 1) {
-    b.wcbt = Duration::zero();
-  } else {
-    Duration total = Duration::zero();
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      total += hop_impl(chain[i], chain[i + 1], method, /*counted=*/false);
-    }
-    b.wcbt = total + fifo_shift_upper(graph_, chain);
-  }
-  const std::lock_guard<std::mutex> lock(chain_bound_mutex_);
-  if (counted) ins_.chain_bound_misses.add();
-  chain_bound_cache_[std::move(key)] = {b, commit_epoch_};
-  return b;
+  return backward_bounds(graph_, chain, response_times(), method);
 }
 
 const std::vector<Path>& AnalysisEngine::chains(TaskId task,
@@ -376,12 +243,6 @@ std::vector<TaskId> AnalysisEngine::fusing_tasks() const {
   return out;
 }
 
-BackwardBoundsFn AnalysisEngine::bounds_provider() const {
-  return [this](const Path& chain, HopBoundMethod m) {
-    return chain_bounds_impl(chain, m, /*counted=*/false);
-  };
-}
-
 DisparityReport AnalysisEngine::disparity(TaskId task,
                                           const DisparityOptions& opt) const {
   CETA_EXPECTS(task < graph_.num_tasks(), "analyze_time_disparity: bad task id");
@@ -411,24 +272,16 @@ DisparityReport AnalysisEngine::disparity(TaskId task,
   const auto t0 = std::chrono::steady_clock::now();
 
   // The routing of analyze_time_disparity_backend, with the pairwise
-  // kernel (disparity/pair_kernel.hpp) fed the engine's memoized chain set
-  // and full-chain bounds, so the chain-bound cache keeps amortizing
-  // across hop methods and later latency queries.  The DP reads graph_ and
-  // response_times() only — both inputs are covered by report_epoch_.  The
-  // chain-set and chain-bound reads are uncounted plumbing of this one
-  // logical report lookup (see metrics()).
+  // kernel (disparity/pair_kernel.hpp) fed the engine's memoized chain set.
+  // The DP reads graph_ and response_times() only — both inputs are
+  // covered by report_epoch_.  The chain-set read is uncounted plumbing of
+  // this one logical report lookup (see metrics()).
   const ResponseTimeMap& rtm = response_times();
   auto report = std::make_shared<const DisparityReport>(
       route_disparity_backend(graph_, task, rtm, opt, DagDpOptions{}, [&] {
-        const std::vector<Path>& chain_list =
-            chains_impl(task, opt.path_cap, /*counted=*/false);
-        std::vector<BackwardBounds> full;
-        full.reserve(chain_list.size());
-        for (const Path& c : chain_list) {
-          full.push_back(
-              chain_bounds_impl(c, opt.hop_method, /*counted=*/false));
-        }
-        return pair_kernel_analyze(graph_, chain_list, rtm, opt, &full);
+        return pair_kernel_analyze(
+            graph_, chains_impl(task, opt.path_cap, /*counted=*/false), rtm,
+            opt);
       }));
   if (report->backend == DisparityBackend::kDagDp) {
     span.arg("backend", "dag_dp");
@@ -463,10 +316,7 @@ LatencyReport AnalysisEngine::latency(const Path& chain,
 BufferDesign AnalysisEngine::optimize_buffer_pair(const Path& lambda,
                                                   const Path& nu,
                                                   HopBoundMethod method) const {
-  // Route the Theorem 2 sub-chain bounds through the chain-bound cache;
-  // bit-identical to design_buffer(graph_, lambda, nu, response_times(),
-  // method) because chain_bounds ≡ backward_bounds.
-  return design_buffer(graph_, lambda, nu, method, bounds_provider());
+  return design_buffer(graph_, lambda, nu, response_times(), method);
 }
 
 MultiBufferDesign AnalysisEngine::optimize_buffers(
@@ -727,14 +577,23 @@ void AnalysisEngine::apply_mutations(
     for (const engine::Mutation& m : edits) apply_one(m);
   }
 
-  const engine::InvalidationPlan plan =
-      engine::plan_invalidation(graph_, ecus_, edits, removed_closures);
+  // The injected fault plans the batch without its buffer resizes, whose
+  // only footprint is the report dirtying they seed.
+  std::vector<engine::Mutation> unbuffered;
+  if (opt_.fault_skip_edge_invalidation) {
+    unbuffered = edits;
+    std::erase_if(unbuffered, [](const engine::Mutation& m) {
+      return m.kind == engine::MutationKind::kBuffer;
+    });
+  }
+  const engine::InvalidationPlan plan = engine::plan_invalidation(
+      graph_, ecus_, opt_.fault_skip_edge_invalidation ? unbuffered : edits,
+      removed_closures);
 
   {
     // One epoch bump under every cache mutex: lookups either see the
     // pre-commit state or the fully bumped epochs, never a mix.
-    const std::scoped_lock all(rta_mutex_, hop_mutex_, chain_bound_mutex_,
-                               chain_set_mutex_, report_mutex_);
+    const std::scoped_lock all(rta_mutex_, chain_set_mutex_, report_mutex_);
     ++commit_epoch_;
     if (!plan.rta_tasks.empty()) {
       rta_dirty_.insert(rta_dirty_.end(), plan.rta_tasks.begin(),
@@ -742,17 +601,6 @@ void AnalysisEngine::apply_mutations(
       std::sort(rta_dirty_.begin(), rta_dirty_.end());
       rta_dirty_.erase(std::unique(rta_dirty_.begin(), rta_dirty_.end()),
                        rta_dirty_.end());
-    }
-    for (const TaskId t : plan.bound_tasks) task_epoch_[t] = commit_epoch_;
-    if (!opt_.fault_skip_edge_invalidation) {
-      for (const auto& [u, v] : plan.buffer_edges) {
-        buffer_edge_epoch_[static_cast<std::uint64_t>(u) * graph_.num_tasks() +
-                           v] = commit_epoch_;
-      }
-    }
-    for (const auto& [u, v] : plan.removed_edges) {
-      removed_edge_epoch_[static_cast<std::uint64_t>(u) * graph_.num_tasks() +
-                          v] = commit_epoch_;
     }
     for (const TaskId t : plan.chain_set_tasks) {
       chain_set_epoch_[t] = commit_epoch_;
@@ -763,12 +611,8 @@ void AnalysisEngine::apply_mutations(
   ins_.mutate_commits.add();
   ins_.mutate_edits.add(edits.size());
   ins_.mutate_dirty_rta.add(plan.rta_tasks.size());
-  ins_.mutate_dirty_bounds.add(plan.bound_tasks.size());
-  ins_.mutate_dirty_edges.add(plan.buffer_edges.size() +
-                              plan.removed_edges.size());
   ins_.mutate_dirty_chain_sets.add(plan.chain_set_tasks.size());
   ins_.mutate_dirty_reports.add(plan.report_tasks.size());
-  span.arg("dirty_bounds", static_cast<std::int64_t>(plan.bound_tasks.size()));
   span.arg("dirty_reports",
            static_cast<std::int64_t>(plan.report_tasks.size()));
 
@@ -946,8 +790,6 @@ obs::MetricsSnapshot AnalysisEngine::metrics() const {
   const std::uint64_t survived =
       static_cast<std::uint64_t>(ins_.survived_hits.value());
   const std::uint64_t stale =
-      static_cast<std::uint64_t>(ins_.hop_stale.value()) +
-      static_cast<std::uint64_t>(ins_.chain_bound_stale.value()) +
       static_cast<std::uint64_t>(ins_.chain_set_stale.value()) +
       static_cast<std::uint64_t>(ins_.report_stale.value());
   const std::uint64_t denom = survived + stale;

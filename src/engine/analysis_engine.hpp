@@ -2,16 +2,18 @@
 //
 // Every analysis of this library decomposes into the same shared
 // subproblems: the NP-FP response-time fixpoint (one per graph), the
-// enumerated source→task chain sets (one per analyzed task), the per-edge
-// hop bounds θ(τ_i, τ_{i+1}) of Lemma 4, and the per-chain backward-time
-// bounds W(π)/B(π) of Lemmas 4–5.  The free functions in sched/, chain/
-// and disparity/ recompute them on every call, which is the right
-// granularity for one-shot use but wasteful for sessions that analyze
-// many sinks, methods or trials of the *same* graph (the Fig. 6 sweeps,
-// the ablation benches, a what-if design loop).
+// enumerated source→task chain sets (one per analyzed task) and the
+// task-level disparity reports built on both.  The free functions in
+// sched/, chain/ and disparity/ recompute them on every call, which is the
+// right granularity for one-shot use but wasteful for sessions that
+// analyze many sinks, methods or trials of the *same* graph (the Fig. 6
+// sweeps, the ablation benches, a what-if design loop).  The per-chain
+// backward-time bounds W(π)/B(π) of Lemmas 4–5 are O(|π|) sums of O(1) hop
+// terms — no dearer than a cache lookup keyed by the chain — so they are
+// not memoized: chain_bounds() evaluates them on every call.
 //
 // An AnalysisEngine owns a copy of the graph plus lazily computed,
-// memoized artifacts of all four kinds, and re-exposes the analyses as
+// memoized artifacts of those three kinds, and re-exposes the analyses as
 // methods that share them:
 //
 //   AnalysisEngine engine(graph);
@@ -28,9 +30,9 @@
 // commit are bit-identical to a freshly constructed engine on the edited
 // graph (the `incremental_matches_fresh` verify property).  Invalidation
 // is epoch-based: each cache entry records the commit epoch it was
-// computed under, each task/edge records the last commit that dirtied it,
-// and a lookup recomputes iff the entry's stamp is older than any of its
-// inputs' epochs — commits cost O(affected region), never a cache scan.
+// computed under, each task records the last commit that dirtied its chain
+// set / report, and a lookup recomputes iff the entry's stamp is older
+// than that epoch — commits cost O(affected region), never a cache scan.
 //
 // Every analysis method returns byte-identical results to the
 // corresponding free function (asserted by tests/test_engine_cache.cpp);
@@ -73,12 +75,12 @@ struct EngineOptions {
   RtaOptions rta;
   /// No effect; kept only so existing callers compile.
   std::size_t num_threads = 0;
-  /// TEST ONLY — deliberately skip the edge-epoch bump of buffer-resize
-  /// mutations, leaving chain-bound entries over the resized channel
-  /// stale.  Exists so the verify campaign can prove the
-  /// `incremental_matches_fresh` property catches a broken invalidation
-  /// edge (`verify_bounds --inject-stale-cache`).  Never set in
-  /// production code.
+  /// TEST ONLY — deliberately skip the report dirtying seeded by
+  /// buffer-resize mutations, leaving the cached disparity reports
+  /// downstream of the resized channel stale.  Exists so the verify
+  /// campaign can prove the `incremental_matches_fresh` property catches a
+  /// broken invalidation edge (`verify_bounds --inject-stale-cache`).
+  /// Never set in production code.
   bool fault_skip_edge_invalidation = false;
 };
 
@@ -118,8 +120,8 @@ class AnalysisEngine {
   /// @brief Deep, independent copy of this engine with every cache warm.
   ///
   /// The clone owns its own copy of the graph, the RTA state (engine-owned
-  /// or adopted external map), the invalidation epochs and the hop /
-  /// chain-bound / chain-set / report caches, so it answers every memoized
+  /// or adopted external map), the invalidation epochs and the chain-set /
+  /// report caches, so it answers every memoized
   /// query bit-identically to the original while mutations on either side
   /// never invalidate the other (tests/test_engine_clone.cpp).  Cached
   /// DisparityReports are immutable and shared by reference; everything
@@ -155,22 +157,11 @@ class AnalysisEngine {
   /// iff every adopted WCRT is finite.)
   bool schedulable() const;
 
-  /// @brief Memoized θ hop bound of Lemma 4 / the scheduling-agnostic
-  /// variant for the edge (from, to).
-  /// @param from,to  Edge endpoints (the hop is defined for any task pair
-  ///   with finite WCRTs; edges are the common case).
-  /// @param method   Lemma 4 (kNonPreemptive) or θ = T + R baseline.
-  /// Complexity: O(1) amortized after the first evaluation.
-  Duration hop(TaskId from, TaskId to,
-               HopBoundMethod method = HopBoundMethod::kNonPreemptive) const;
-
-  /// @brief Memoized W(π)/B(π) of a chain; equals backward_bounds(graph(),
-  /// chain, response_times(), method), with W assembled from the memoized
-  /// hops.
+  /// @brief W(π)/B(π) of a chain: backward_bounds(graph(), chain,
+  /// response_times(), method), evaluated on every call (not memoized).
   /// @param chain   A path of graph() ending anywhere.
   /// @param method  Hop-bound method used for W(π).
-  /// Complexity: O(|π|) per call (hash + staleness check), hop fixpoints
-  /// amortized across chains sharing edges.
+  /// Complexity: O(|π|) beyond the memoized RTA.
   BackwardBounds chain_bounds(
       const Path& chain,
       HopBoundMethod method = HopBoundMethod::kNonPreemptive) const;
@@ -211,15 +202,15 @@ class AnalysisEngine {
   /// graph()).
   /// @param chain   The chain to bound.
   /// @param method  Hop-bound method for the backward bounds.
-  /// Complexity: O(|π|) plus one memoized chain_bounds lookup.
+  /// Complexity: O(|π|) beyond the memoized RTA.
   LatencyReport latency(
       const Path& chain,
       HopBoundMethod method = HopBoundMethod::kNonPreemptive) const;
 
-  /// @brief Algorithm 1 on one chain pair (both ending at the same task),
-  /// fed from the memoized chain-bound cache.
+  /// @brief Algorithm 1 on one chain pair (both ending at the same task):
+  /// design_buffer(graph(), lambda, nu, response_times(), method).
   /// @param lambda,nu  The chain pair; design targets nu's head channel.
-  /// Complexity: O(|λ| + |ν|) beyond the memoized bounds.
+  /// Complexity: one Theorem 2 evaluation beyond the memoized RTA.
   BufferDesign optimize_buffer_pair(
       const Path& lambda, const Path& nu,
       HopBoundMethod method = HopBoundMethod::kNonPreemptive) const;
@@ -236,8 +227,8 @@ class AnalysisEngine {
   /// @param task  Fusion task to design for; its head channels must be
   ///   unbuffered (PreconditionError otherwise).
   /// @param opt   Analyzer options for both bounds.  The baseline is the
-  ///   memoized disparity(task, opt) report and the windows come from the
-  ///   memoized chain_bounds().
+  ///   memoized disparity(task, opt) report and the windows come from
+  ///   chain_bounds().
   /// @throws CapacityError when the baseline report is DP-served
   ///   (`truncated`): the design needs the enumerated chain set.
   /// Complexity: one (usually cached) disparity lookup plus one kernel
@@ -259,16 +250,16 @@ class AnalysisEngine {
   /// @brief Set the period of `task` and commit.
   /// @throws PreconditionError in external-rtm mode (the adopted WCRT map
   ///   cannot be refreshed), or if the edited graph fails validate().
-  /// Invalidates: RTA + hop/chain bounds of the ECU cohort, chain sets and
-  /// reports downstream of `task` (§9 row "period").
+  /// Invalidates: RTA of the ECU cohort, chain sets and reports downstream
+  /// of `task` (§9 row "period").
   /// Complexity: O(affected region) at commit; queries pay lazily.
   void set_period(TaskId task, Duration period);
 
   /// @brief Set the execution-time range of `task` and commit.
   /// @param bcet,wcet  New range; bcet <= wcet enforced by validate().
   /// @throws PreconditionError in external-rtm mode or on invalid edits.
-  /// Invalidates: RTA + bounds of the ECU cohort, reports downstream (§9
-  /// row "WCET"); chain sets survive.
+  /// Invalidates: RTA of the ECU cohort, reports downstream (§9 row
+  /// "WCET"); chain sets survive.
   void set_wcet_range(TaskId task, Duration bcet, Duration wcet);
 
   /// @brief Set the fixed priority of `task` and commit.
@@ -283,16 +274,16 @@ class AnalysisEngine {
   /// @param policy  New per-ECU discipline (TaskGraph::set_policy).
   /// @throws PreconditionError in external-rtm mode (the adopted WCRT map
   ///   was computed under the old discipline), or on kNoEcu.
-  /// Invalidates: RTA + hop/chain bounds of the ECU's cohort and reports
-  /// downstream — exactly a priority edit's footprint (§9 row "policy");
-  /// other ECUs' entries and all chain sets survive.
+  /// Invalidates: RTA of the ECU's cohort and reports downstream —
+  /// exactly a priority edit's footprint (§9 row "policy"); other ECUs'
+  /// entries and all chain sets survive.
   void set_policy(EcuId ecu, SchedPolicy policy);
 
   /// @brief Resize the FIFO of channel (from, to) and commit.
   /// @param buffer_size  New depth (>= 1; 1 is the overwrite register).
-  /// Invalidates: chain bounds traversing the edge (Lemma 6 shift) and
-  /// reports downstream of `to` — RTA, hop bounds and chain sets all
-  /// survive (§9 row "buffer").
+  /// Invalidates: reports downstream of `to` (the Lemma 6 shift moves the
+  /// bounds of chains traversing the edge) — RTA and chain sets survive
+  /// (§9 row "buffer").
   void set_buffer(TaskId from, TaskId to, int buffer_size);
 
   /// @brief Set the release offset of `task` and commit.
@@ -305,16 +296,16 @@ class AnalysisEngine {
   /// @throws PreconditionError on duplicate edges, cycles, or if `to` was
   ///   a source (sources carry no ECU; giving them an inbound edge would
   ///   reclassify them, which validate() rejects).
-  /// Invalidates: chain sets and reports downstream of `to`; RTA, hop and
-  /// existing chain bounds survive (§9 row "add edge").
+  /// Invalidates: chain sets and reports downstream of `to`; the RTA
+  /// survives (§9 row "add edge").
   void add_edge(TaskId from, TaskId to, ChannelSpec spec = {});
 
   /// @brief Remove the edge (from, to) and commit.
   /// @throws PreconditionError if absent, or if removal strands `to` as a
   ///   source with non-source parameters (validate()).
   /// Invalidates: chain sets and reports downstream of `to` *on the
-  /// pre-commit graph* (removal destroys reachability), plus the edge's
-  /// hop entry and chain bounds traversing it (§9 row "remove edge").
+  /// pre-commit graph* (removal destroys reachability); the RTA survives
+  /// (§9 row "remove edge").
   void remove_edge(TaskId from, TaskId to);
 
   /// A batch of mutations applied as one commit: stage edits with the
@@ -385,9 +376,9 @@ class AnalysisEngine {
   void set_commit_observer(CommitObserver observer);
 
   /// @brief Snapshot of the engine's private metrics registry: the cache
-  /// counters ("engine.rta.runs", "engine.hop.hits", ...), the mutation /
-  /// invalidation counters ("engine.mutate.commits",
-  /// "engine.hop.stale", ...), the cache-retention gauge
+  /// counters ("engine.rta.runs", "engine.reports.hits", ...), the
+  /// mutation / invalidation counters ("engine.mutate.commits",
+  /// "engine.reports.stale", ...), the cache-retention gauge
   /// ("engine.mutate.retention_ppm", parts-per-million of post-commit
   /// lookups served from surviving entries) plus duration histograms for
   /// RTA and disparity computation.  Point-in-time consistent per
@@ -395,12 +386,10 @@ class AnalysisEngine {
   ///
   /// Counting contract: each *logical* lookup is counted once, at the
   /// layer where it enters the engine.  disparity() counts one report
-  /// lookup; the chain-set and chain-bound reads it performs internally
-  /// (to feed the pair kernel its chain set and full-chain bounds) are
-  /// uncounted plumbing.  chain_bounds() counts one chain-bound lookup; its
-  /// per-edge hop() reads are uncounted.  Direct hop()/chains() calls count
-  /// at their own layer.  Uncounted reads still warm the caches and are
-  /// still staleness-checked ("*.stale" counts them too).
+  /// lookup; the chain-set read it performs internally (to feed the pair
+  /// kernel its chain set) is uncounted plumbing.  Direct chains() calls
+  /// count at their own layer.  Uncounted reads still warm the cache and
+  /// are still staleness-checked ("*.stale" counts them too).
   obs::MetricsSnapshot metrics() const;
 
   /// @brief The engine's private registry (stable for the engine's
@@ -415,14 +404,6 @@ class AnalysisEngine {
   /// `other` for the duration.
   AnalysisEngine(const AnalysisEngine& other, CloneTag);
 
-  struct ChainKey {
-    Path chain;
-    HopBoundMethod method;
-    bool operator==(const ChainKey&) const = default;
-  };
-  struct ChainKeyHash {
-    std::size_t operator()(const ChainKey& k) const;
-  };
   struct ReportKey {
     TaskId task = 0;
     DisparityMethod method = DisparityMethod::kForkJoin;
@@ -460,23 +441,15 @@ class AnalysisEngine {
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& r);
     obs::Counter& rta_runs;
-    obs::Counter& hop_hits;
-    obs::Counter& hop_misses;
-    obs::Counter& chain_bound_hits;
-    obs::Counter& chain_bound_misses;
     obs::Counter& chain_set_hits;
     obs::Counter& chain_set_misses;
     obs::Counter& report_hits;
     obs::Counter& report_misses;
-    obs::Counter& hop_stale;
-    obs::Counter& chain_bound_stale;
     obs::Counter& chain_set_stale;
     obs::Counter& report_stale;
     obs::Counter& mutate_commits;
     obs::Counter& mutate_edits;
     obs::Counter& mutate_dirty_rta;
-    obs::Counter& mutate_dirty_bounds;
-    obs::Counter& mutate_dirty_edges;
     obs::Counter& mutate_dirty_chain_sets;
     obs::Counter& mutate_dirty_reports;
     obs::Counter& rta_refreshed_tasks;
@@ -487,29 +460,16 @@ class AnalysisEngine {
   };
 
   void ensure_rta() const;
-  BackwardBoundsFn bounds_provider() const;
 
-  // Counting-contract impls: `counted` selects whether this lookup bumps
+  // Counting-contract impl: `counted` selects whether this lookup bumps
   // the layer's hit/miss counters (false = internal plumbing on behalf of
   // an outer query).  Staleness checks and cache warming always happen.
-  Duration hop_impl(TaskId from, TaskId to, HopBoundMethod method,
-                    bool counted) const;
-  BackwardBounds chain_bounds_impl(const Path& chain, HopBoundMethod method,
-                                   bool counted) const;
   const std::vector<Path>& chains_impl(TaskId task, std::size_t path_cap,
                                        bool counted) const;
 
   /// Record a hit on an entry that predates the latest commit (survived
   /// invalidation) for the retention ratio.
   void note_survivor(std::uint64_t stamp) const;
-
-  /// Epoch of the newest input of a hop (task epochs of both endpoints,
-  /// plus the removal epoch of the edge — buffer-resize epochs do NOT
-  /// apply, hops never read channel depths).  Caller holds hop_mutex_.
-  std::uint64_t hop_inputs_epoch(TaskId from, TaskId to) const;
-  /// Epoch of the newest input of a chain (member task epochs + buffer and
-  /// removal epochs of traversed edges).  Caller holds chain_bound_mutex_.
-  std::uint64_t chain_inputs_epoch(const Path& chain) const;
 
   /// Apply one staged batch, then plan and commit the invalidation
   /// (single writer; takes every cache mutex).  Non-structural batches
@@ -551,22 +511,8 @@ class AnalysisEngine {
   /// under the mutation API, so it is built once.
   EcuIndex ecus_;
   std::uint64_t commit_epoch_ = 0;
-  std::vector<std::uint64_t> task_epoch_;       // bound inputs changed
   std::vector<std::uint64_t> chain_set_epoch_;  // enumeration changed
   std::vector<std::uint64_t> report_epoch_;     // report inputs changed
-  /// Sparse: only edges ever dirtied appear, so the common no-mutation
-  /// path pays nothing.  Key: from * V + to.  Split by mutation kind so a
-  /// buffer resize (which moves W(π)/B(π) but not θ) dirties chain bounds
-  /// without dirtying the edge's hop entry, while a removal dirties both.
-  std::unordered_map<std::uint64_t, std::uint64_t> buffer_edge_epoch_;
-  std::unordered_map<std::uint64_t, std::uint64_t> removed_edge_epoch_;
-
-  mutable std::mutex hop_mutex_;
-  mutable std::unordered_map<std::uint64_t, Stamped<Duration>> hop_cache_;
-
-  mutable std::mutex chain_bound_mutex_;
-  mutable std::unordered_map<ChainKey, Stamped<BackwardBounds>, ChainKeyHash>
-      chain_bound_cache_;
 
   mutable std::mutex chain_set_mutex_;
   // Keyed by (task, cap); unique_ptr keeps returned references stable

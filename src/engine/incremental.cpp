@@ -69,10 +69,6 @@ std::vector<ParetoPoint> buffer_pareto(AnalysisEngine& engine,
   obs::Span span("engine", "buffer_pareto");
   const BufferDesign design = engine.optimize_buffer_pair(lambda, nu, method);
   const Duration t_head = engine.graph().task(design.from).period;
-  const BackwardBoundsFn bounds = [&engine](const Path& chain,
-                                            HopBoundMethod m) {
-    return engine.chain_bounds(chain, m);
-  };
 
   std::vector<ParetoPoint> points;
   points.reserve(static_cast<std::size_t>(design.buffer_size));
@@ -83,14 +79,15 @@ std::vector<ParetoPoint> buffer_pareto(AnalysisEngine& engine,
       p.shift = t_head * (n - 1);
       // Theorem 3 with a partial shift (still on the aligning side),
       // clamped by the Lemma 6-aware Theorem 2 re-analysis at this size.
-      // Only the chain bounds over the resized edge recompute per step.
+      // A resize leaves the RTA valid, so each step reuses it.
       const Duration analytic = design.baseline_bound - p.shift;
       if (n == 1) {
         p.bound = design.baseline_bound;
       } else {
         engine.set_buffer(design.from, design.to, n);
         const Duration rerun =
-            sdiff_pair_bound(engine.graph(), lambda, nu, method, bounds)
+            sdiff_pair_bound(engine.graph(), lambda, nu,
+                             engine.response_times(), method)
                 .bound;
         p.bound = std::min(analytic, rerun);
       }

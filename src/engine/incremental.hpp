@@ -5,7 +5,7 @@
 // the graph a little, re-analyze, compare, repeat.  They run through
 // AnalysisEngine's mutation API, so each probe pays only for the caches
 // its edit actually dirtied (DESIGN.md §9): the RTA refresh is scoped to
-// the edited ECU cohort, untouched chains keep their bounds, and so on.
+// the edited ECU cohort, untouched sinks keep their reports, and so on.
 // (The multi-chain buffer design itself is the const query
 // AnalysisEngine::optimize_buffers.)
 //
@@ -73,8 +73,8 @@ struct ParetoPoint {
 /// @return One point per size (a single point when the windows are
 ///   already aligned); point n is min(baseline − (n−1)·T(head),
 ///   sdiff_pair_bound at FIFO size n).  Bounds are non-increasing.
-/// Complexity: O(design size) Theorem 2 re-evaluations; sub-chain bounds
-/// not traversing the resized edge are served from the chain-bound cache.
+/// Complexity: O(design size) Theorem 2 re-evaluations over the engine's
+/// memoized RTA (a resize dirties no RTA entry).
 std::vector<ParetoPoint> buffer_pareto(
     AnalysisEngine& engine, const Path& lambda, const Path& nu,
     HopBoundMethod method = HopBoundMethod::kNonPreemptive);

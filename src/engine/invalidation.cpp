@@ -39,11 +39,6 @@ void sort_unique(std::vector<TaskId>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-void sort_unique(std::vector<std::pair<TaskId, TaskId>>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
 }  // namespace
 
 InvalidationPlan plan_invalidation(
@@ -66,12 +61,11 @@ InvalidationPlan plan_invalidation(
     switch (m.kind) {
       case MutationKind::kPeriod:
         // Period enters the RTA of the whole cohort (interference terms),
-        // every hop bound touching a cohort member (θ = T + R refinements)
-        // and — per the §9 contract — the chain enumerations through the
-        // task (periods bound enumeration capacity downstream).
+        // the chain bounds through every cohort member (θ = T + R
+        // refinements) and — per the §9 contract — the chain enumerations
+        // through the task (periods bound enumeration capacity downstream).
         for (const TaskId c : ecus.cohort(m.task)) {
           plan.rta_tasks.push_back(c);
-          plan.bound_tasks.push_back(c);
           report_seeds.push_back(c);
         }
         chain_set_seeds.push_back(m.task);
@@ -82,14 +76,12 @@ InvalidationPlan plan_invalidation(
         // terms; chain *structure* is untouched, so enumerations survive.
         for (const TaskId c : ecus.cohort(m.task)) {
           plan.rta_tasks.push_back(c);
-          plan.bound_tasks.push_back(c);
           report_seeds.push_back(c);
         }
         break;
       case MutationKind::kBuffer:
         // Lemma 6: only the FIFO shift of chains traversing (from, to)
-        // moves.  RTA, hop bounds and chain sets all survive.
-        plan.buffer_edges.emplace_back(m.from, m.to);
+        // moves.  RTA and chain sets survive.
         report_seeds.push_back(m.to);
         break;
       case MutationKind::kOffset:
@@ -98,18 +90,17 @@ InvalidationPlan plan_invalidation(
         break;
       case MutationKind::kAddEdge:
         // New data-flow paths appear downstream of the head; existing
-        // chains, their bounds and the RTA are all still valid.
+        // chains and the RTA are still valid.
         chain_set_seeds.push_back(m.to);
         report_seeds.push_back(m.to);
         break;
       case MutationKind::kPolicy:
         // A dispatching-discipline flip re-derives the whole ECU's RTA
-        // and the hop bounds touching its members (the Lemma 4 same-ECU
+        // and the chain bounds through its members (the Lemma 4 same-ECU
         // refinements are routed by the policy) — exactly a priority
         // edit's footprint.  Chain structure is untouched.
         for (const TaskId c : ecus.members(m.ecu)) {
           plan.rta_tasks.push_back(c);
-          plan.bound_tasks.push_back(c);
           report_seeds.push_back(c);
         }
         break;
@@ -123,7 +114,6 @@ InvalidationPlan plan_invalidation(
         const std::vector<TaskId>& closure = removed_closures[removed_i++];
         pre_closure_tasks.insert(pre_closure_tasks.end(), closure.begin(),
                                  closure.end());
-        plan.removed_edges.emplace_back(m.from, m.to);
         break;
       }
     }
@@ -149,9 +139,6 @@ InvalidationPlan plan_invalidation(
                   plan.chain_set_tasks);
 
   sort_unique(plan.rta_tasks);
-  sort_unique(plan.bound_tasks);
-  sort_unique(plan.buffer_edges);
-  sort_unique(plan.removed_edges);
   sort_unique(plan.chain_set_tasks);
   sort_unique(plan.report_tasks);
   return plan;

@@ -1,7 +1,8 @@
 // Invalidation planning for the incremental engine.
 //
-// AnalysisEngine's caches memoize four artifact kinds — RTA entries, hop
-// bounds θ(u,v), per-chain W/B bounds and enumerated chain sets / reports.
+// AnalysisEngine's caches memoize three artifact kinds — RTA entries,
+// enumerated chain sets and disparity reports.  Per-chain W/B bounds are
+// not cached (they cost O(|π|) to recompute), so they need no plan.
 // When the graph is edited through the mutation API the engine must drop
 // exactly the entries whose *inputs* changed and keep everything else;
 // DESIGN.md §9 is the normative mutation × cache contract.  This header
@@ -17,9 +18,10 @@
 //
 // The engine turns a plan into epoch bumps (see analysis_engine.hpp): every
 // cache entry is stamped with the commit epoch it was computed under, and
-// per-task/per-edge epochs record the last commit that dirtied them; a
-// lookup treats an entry as stale iff its stamp is older than the epoch of
-// any of its inputs.  That keeps commits O(affected) — no cache scans.
+// per-task epochs record the last commit that dirtied the task's chain set
+// or report; a lookup treats an entry as stale iff its stamp is older than
+// that epoch.  The RTA instead drains rta_tasks in a scoped refresh.  That
+// keeps commits O(affected) — no cache scans.
 //
 // The static dependency structure is the EcuIndex (sched/ecu_index.hpp):
 // the only non-local dependency of the per-task RTA fixpoint is the
@@ -79,19 +81,10 @@ struct Mutation {
 struct InvalidationPlan {
   /// Tasks whose RTA entry must be recomputed (scoped refresh).
   std::vector<TaskId> rta_tasks;
-  /// Tasks whose *bound inputs* (WCRT or scheduling parameters) changed:
-  /// hop bounds touching them and chain bounds containing them are stale.
-  std::vector<TaskId> bound_tasks;
-  /// Edges whose FIFO depth changed: chain bounds traversing them are
-  /// stale (Lemma 6 shift), hop bounds and RTA are not.
-  std::vector<std::pair<TaskId, TaskId>> buffer_edges;
-  /// Edges removed from the graph: their hop entry and any chain bound
-  /// traversing them must never be served again.
-  std::vector<std::pair<TaskId, TaskId>> removed_edges;
   /// Tasks whose enumerated source→task chain set changed.
   std::vector<TaskId> chain_set_tasks;
-  /// Tasks whose disparity report may have changed (union of everything
-  /// above, propagated downstream).
+  /// Tasks whose disparity report may have changed: everything downstream
+  /// of an edited cohort, resized channel or added/removed edge.
   std::vector<TaskId> report_tasks;
 };
 

@@ -47,8 +47,8 @@ GraphRun run_one_graph(std::size_t n, const Fig6abConfig& cfg, Rng& rng,
           count_source_chains(g, sink) > cfg.path_cap) {
         continue;
       }
-      // One engine per instance: P-diff and S-diff share the RTA fixpoint,
-      // the enumerated chain set and every memoized chain bound.
+      // One engine per instance: P-diff and S-diff share the RTA fixpoint
+      // and the enumerated chain set.
       const AnalysisEngine engine(g);
       if (!engine.schedulable()) continue;
 

@@ -89,8 +89,8 @@ InstanceRun run_one_instance(std::size_t len, const Fig6cdConfig& cfg,
     wopt.num_ecus = cfg.num_ecus;
     assign_waters_parameters(g, wopt, rng);
 
-    // The engine shares one RTA + chain-bound cache across the S-diff
-    // bound, the buffer design and the warm-up estimate below.
+    // The engine shares one RTA and chain set across the S-diff bound,
+    // the buffer design and the warm-up estimate below.
     const AnalysisEngine engine(g);
     if (!engine.schedulable()) continue;
     const ResponseTimeMap& rtm = engine.response_times();

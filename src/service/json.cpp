@@ -138,11 +138,11 @@ class Parser {
     }
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
+    v.string = text_.substr(start, pos_ - start);
     // The grammar above admits exactly strtod's JSON subset; huge
     // magnitudes saturate to ±inf, which request decoding rejects with a
     // range diagnostic rather than the parser.
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                           nullptr);
+    v.number = std::strtod(v.string.c_str(), nullptr);
     return v;
   }
 

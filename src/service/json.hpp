@@ -45,6 +45,9 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// The decoded text of a kString; for a kNumber, the literal token as
+  /// it appeared on the wire, so integer fields are read exactly instead
+  /// of through the (rounding) double.
   std::string string;
   std::shared_ptr<JsonArray> array;
   std::shared_ptr<JsonObject> object;

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "graph/serialize.hpp"
 #include "obs/json_writer.hpp"
 
@@ -70,13 +71,28 @@ std::int64_t to_int64(const JsonValue& v, const char* what) {
   if (!v.is_number()) {
     throw ProtocolError(std::string(what) + " must be a number");
   }
-  // int64 holds [-2^63, 2^63); both ends are exact doubles.  Casting any
-  // double outside that range is undefined behaviour.
-  const double d = v.number;
-  if (!std::isfinite(d) || d != std::floor(d) || d < -0x1p63 || d >= 0x1p63) {
+  // Integer fields take integer tokens only, read from the token itself:
+  // the double rounds above 2^53.  The JSON grammar leaves '-' and digits
+  // in a token without fraction or exponent.
+  if (v.string.find_first_of(".eE") != std::string::npos) {
+    throw ProtocolError(std::string(what) + " must be an integer");
+  }
+  std::int64_t x = 0;
+  if (!parse_whole(v.string, x)) {
     throw ProtocolError(std::string(what) + " out of integer range");
   }
-  return static_cast<std::int64_t>(d);
+  return x;
+}
+
+/// An int-typed field (priority, ECU, FIFO depth): range-checked, never
+/// truncated to its low 32 bits.
+int to_int(const JsonValue& v, const char* what) {
+  const std::int64_t x = to_int64(v, what);
+  if (x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max()) {
+    throw ProtocolError(std::string(what) + " out of integer range");
+  }
+  return static_cast<int>(x);
 }
 
 std::size_t to_size(const JsonValue& v, const char* what) {
@@ -564,26 +580,24 @@ Outcome ServiceCore::op_mutate(ClientId /*client*/, const Request& req,
                          to_duration(e.at("bcet_ns"), "edit.bcet_ns"),
                          to_duration(e.at("wcet_ns"), "edit.wcet_ns"));
     } else if (kind == "set_priority") {
-      txn.set_priority(
-          resolve_task(g, e.at("task"), "edit.task"),
-          static_cast<int>(to_int64(e.at("priority"), "edit.priority")));
+      txn.set_priority(resolve_task(g, e.at("task"), "edit.task"),
+                       to_int(e.at("priority"), "edit.priority"));
     } else if (kind == "set_policy") {
       txn.set_policy(
-          static_cast<EcuId>(to_int64(e.at("ecu"), "edit.ecu")),
+          to_int(e.at("ecu"), "edit.ecu"),
           parse_policy(to_string_member(e.at("policy"), "edit.policy")));
     } else if (kind == "set_buffer") {
       txn.set_buffer(
           resolve_task(g, e.at("from"), "edit.from"),
           resolve_task(g, e.at("to"), "edit.to"),
-          static_cast<int>(to_int64(e.at("buffer_size"), "edit.buffer_size")));
+          to_int(e.at("buffer_size"), "edit.buffer_size"));
     } else if (kind == "set_offset") {
       txn.set_offset(resolve_task(g, e.at("task"), "edit.task"),
                      to_duration(e.at("offset_ns"), "edit.offset_ns"));
     } else if (kind == "add_edge") {
       ChannelSpec spec;
       if (const JsonValue* v = e.find("buffer_size")) {
-        spec.buffer_size =
-            static_cast<int>(to_int64(*v, "edit.buffer_size"));
+        spec.buffer_size = to_int(*v, "edit.buffer_size");
       }
       txn.add_edge(resolve_task(g, e.at("from"), "edit.from"),
                    resolve_task(g, e.at("to"), "edit.to"), spec);

@@ -137,7 +137,7 @@ class CalendarQueue {
       year_base_ = year_floor(t);
       cursor_ = offset_in_year(t);
     }
-    if (t < year_base_ + year_length()) {
+    if (t - year_base_ < year_length()) {
       const std::size_t k = offset_in_year(t);
       // Behind the consumption cursor is fine: every swept bucket is
       // empty, so rewinding over them restores the scan invariant.
@@ -173,6 +173,9 @@ class CalendarQueue {
     bool dirty = false;    ///< unsorted tail present
   };
 
+  /// width·buckets; callers keep it <= 2^62 (see Simulator), and year
+  /// membership is tested as t − year_base < year_length so the test
+  /// cannot overflow for any t >= year_base.
   std::int64_t year_length() const {
     return width_ * static_cast<std::int64_t>(mask_ + 1);
   }
@@ -227,7 +230,7 @@ class CalendarQueue {
     spill_.clear();
     for (const SimEvent& e : overflow_) {
       const std::int64_t t = e.time.count();
-      if (t < year_base_ + year_length()) {
+      if (t - year_base_ < year_length()) {
         place(offset_in_year(t), e);
       } else {
         spill_.push_back(e);

@@ -147,15 +147,19 @@ Simulator::Simulator(const TaskGraph& g, SimOptions opt)
   // eighth of the shortest period (rounded down to a power of two so the
   // bucket hash is a shift), and one "year" (1024 buckets) spans ~128 short
   // periods — next-release events almost always land inside it, and the
-  // whole-year cursor sweep is paid rarely.
+  // whole-year cursor sweep is paid rarely.  The width is capped at 2^52
+  // so a year stays <= 2^62 ns: at a minimum period >= 2^56 the uncapped
+  // year would reach 2^63 and wrap, and no event would ever fit the open
+  // year.  Shorter minimum periods never reach the cap.
+  constexpr std::uint64_t kMaxWidth = std::uint64_t{1} << 52;
   Duration min_period = Duration::max();
   for (TaskId id = 0; id < n; ++id) {
     min_period = std::min(min_period, g_.task(id).period);
   }
   const std::uint64_t raw =
       std::max<std::int64_t>(std::int64_t{1}, min_period.count() / 8);
-  const Duration width =
-      Duration::ns(static_cast<std::int64_t>(std::bit_floor(raw)));
+  const Duration width = Duration::ns(
+      static_cast<std::int64_t>(std::min(std::bit_floor(raw), kMaxWidth)));
   queue_.configure(width, 1024);
 
   reset();

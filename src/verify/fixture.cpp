@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "graph/serialize.hpp"
 
 namespace ceta::verify {
@@ -40,7 +41,9 @@ Fixture fixture_from_text(const std::string& text) {
   bool saw_header = false, saw_property = false, saw_task = false;
   std::istringstream in(text);
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.rfind("# ceta-fixture", 0) == 0) {
       saw_header = true;
       continue;
@@ -53,8 +56,9 @@ Fixture fixture_from_text(const std::string& text) {
     if (const auto prop = directive("property")) {
       const std::optional<Property> p = property_from_name(*prop);
       if (!p) {
-        throw PreconditionError("fixture_from_text: unknown property '" +
-                                *prop + "'");
+        throw PreconditionError("fixture_from_text: line " +
+                                std::to_string(line_no) +
+                                ": unknown property '" + *prop + "'");
       }
       f.property = *p;
       saw_property = true;
@@ -62,11 +66,10 @@ Fixture fixture_from_text(const std::string& text) {
       f.task = *task;
       saw_task = true;
     } else if (const auto seed = directive("sim-seed")) {
-      try {
-        f.sim_seed = std::stoull(*seed);
-      } catch (const std::exception&) {
-        throw PreconditionError("fixture_from_text: malformed sim-seed '" +
-                                *seed + "'");
+      if (!parse_whole(*seed, f.sim_seed)) {
+        throw PreconditionError("fixture_from_text: line " +
+                                std::to_string(line_no) +
+                                ": malformed sim-seed '" + *seed + "'");
       }
     } else if (const auto detail = directive("detail")) {
       f.detail = *detail;

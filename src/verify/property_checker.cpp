@@ -195,7 +195,9 @@ PropertyOutcome check_engine_matches_free(const Inputs& in) {
                       ": engine [" + dur(e.bcbt) + ", " + dur(e.wcbt) +
                       "] vs free [" + dur(f.bcbt) + ", " + dur(f.wcbt) + "]");
     }
-    const Duration he = engine.hop(c[0], c[1]);
+    const Duration he =
+        hop_bound(engine.graph(), c[0], c[1], engine.response_times(),
+                  HopBoundMethod::kNonPreemptive);
     const Duration hf =
         hop_bound(in.g, c[0], c[1], in.rtm, HopBoundMethod::kNonPreemptive);
     if (he != hf) {
@@ -647,7 +649,8 @@ std::optional<std::string> engine_fresh_divergence(const AnalysisEngine& e,
   // bounds are undefined without finite WCRTs.
   if (!fresh.all_schedulable) return std::nullopt;
   for (const Edge& edge : g.edges()) {
-    const Duration he = e.hop(edge.from, edge.to);
+    const Duration he = hop_bound(g, edge.from, edge.to, e.response_times(),
+                                  HopBoundMethod::kNonPreemptive);
     const Duration hf = hop_bound(g, edge.from, edge.to, fresh.response_time,
                                   HopBoundMethod::kNonPreemptive);
     if (he != hf) {
@@ -705,7 +708,6 @@ PropertyOutcome check_incremental_matches_fresh(const Inputs& in) {
   // entries, not cold recomputation.
   (void)e.rta();
   (void)e.chains(in.task, in.cfg.path_cap);
-  for (const Path& c : in.chains) (void)e.chain_bounds(c);
   for (const DisparityMethod m :
        {DisparityMethod::kIndependent, DisparityMethod::kForkJoin}) {
     (void)e.disparity(in.task, disparity_options(in, m));
@@ -719,7 +721,7 @@ PropertyOutcome check_incremental_matches_fresh(const Inputs& in) {
 
   // Step 1: FIFO resize of λ₀'s head channel (§9 row "buffer"); under
   // kSkipInvalidation this is the step that must trip — the stale
-  // chain-bound entry misses the Lemma 6 shift (n−1)·T(head) > 0.
+  // disparity report misses the Lemma 6 shift (n−1)·T(head) > 0.
   {
     const Path& c = in.chains[0];
     const int old_size = in.g.channel(c[0], c[1]).buffer_size;

@@ -104,9 +104,10 @@ enum class FaultInjection {
   kDropHeadPeriod,
   /// Build the probed AnalysisEngine with
   /// EngineOptions::fault_skip_edge_invalidation, so buffer-resize commits
-  /// skip their edge-epoch bump and chain-bound entries over the resized
-  /// channel go stale — the incremental_matches_fresh property must catch
-  /// the divergence.  Affects only that property.
+  /// skip the report dirtying they seed and the cached disparity reports
+  /// downstream of the resized channel go stale — the
+  /// incremental_matches_fresh property must catch the divergence.
+  /// Affects only that property.
   kSkipInvalidation,
   /// Run the DAG DP with DagDpOptions::fault_drop_source_period, so its
   /// combination step under-reports the final worst case by one source

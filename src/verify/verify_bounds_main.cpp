@@ -3,7 +3,8 @@
 //   verify_bounds [--trials N] [--seed N] [--probes N]
 //                 [--min-tasks N] [--max-tasks N] [--ecus N]
 //                 [--shrink | --no-shrink] [--fixture-dir PATH]
-//                 [--inject-fault] [--inject-dp-fault] [--inject-mc-fault]
+//                 [--inject-fault] [--inject-stale-cache]
+//                 [--inject-dp-fault] [--inject-mc-fault]
 //                 [--inject-explore-fault] [--inject-pfp-fault]
 //                 [--inject-edf-fault]
 //                 [--trace PATH] [--metrics PATH] [--quiet]
@@ -18,8 +19,8 @@
 // --inject-fault enables the test-only off-by-one mutation (one head
 // period subtracted from every analytical upper bound) to demonstrate the
 // harness catching and shrinking an unsound bound; it makes a nonzero
-// exit the expected outcome.  --inject-stale-cache instead breaks the
-// engine's buffer-edge invalidation (EngineOptions::
+// exit the expected outcome.  --inject-stale-cache instead makes the
+// engine skip the report invalidation of buffer resizes (EngineOptions::
 // fault_skip_edge_invalidation), which the incremental_matches_fresh
 // property must catch; nonzero exit expected likewise.  --inject-dp-fault
 // corrupts the DAG-DP combination step (DagDpOptions::

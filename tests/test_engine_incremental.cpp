@@ -1,10 +1,11 @@
 // The mutation API and its fine-grained invalidation (DESIGN.md §9).
 //
 // Three layers of evidence, mirroring the §9 contract:
-//  1. Per-mutation-kind tests assert each matrix row *cell-wise* through
-//     the engine's cache counters: entries the row marks "kept" must be
-//     served as hits after the commit (survived_hits), entries it marks
-//     "invalidated" must show up as stale evictions.
+//  1. Per-mutation-kind tests assert each matrix row *cell-wise* (RTA,
+//     chain sets, reports) through the engine's cache counters: entries
+//     the row marks "kept" must be served as hits after the commit
+//     (survived_hits), entries it marks "invalidated" must show up as
+//     stale evictions.
 //  2. A 100-seed random-edit sweep checks that a mutated engine stays
 //     field-identical to a freshly constructed engine after every edit.
 //  3. The design-space loops (multi-buffer design, Pareto, sensitivity,
@@ -128,8 +129,7 @@ void expect_matches_fresh(const AnalysisEngine& e, TaskId task) {
 /// Warm every cache layer for `task`.
 void warm(const AnalysisEngine& e, TaskId task) {
   (void)e.rta();
-  for (const Path& c : e.chains(task)) (void)e.chain_bounds(c);
-  for (const Edge& edge : e.graph().edges()) (void)e.hop(edge.from, edge.to);
+  (void)e.chains(task);
   (void)e.disparity(task);
 }
 
@@ -151,6 +151,8 @@ TEST(EngineIncremental, BufferResizeInvalidatesOnlyTraversingChains) {
   const std::vector<Path> chains = e.chains(f);
   const Path chain_a = chain_with_front(chains, 0);  // s1 -> a1 -> a2 -> f
   const Path chain_b = chain_with_front(chains, 1);  // s2 -> b1 -> b2 -> f
+  const BackwardBounds ba0 = e.chain_bounds(chain_a);
+  const BackwardBounds bb0 = e.chain_bounds(chain_b);
 
   const obs::MetricsSnapshot before = e.metrics();
   e.set_buffer(chain_a[0], chain_a[1], 3);
@@ -160,32 +162,15 @@ TEST(EngineIncremental, BufferResizeInvalidatesOnlyTraversingChains) {
   EXPECT_EQ(e.metrics().counter("engine.rta.runs"), 1u);
   EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 0u);
 
-  // Column chain sets: kept (the enumeration ignores channel depths).
+  // Column chain sets: kept (the enumeration ignores channel depths); the
+  // entry predates the commit and is served as a survivor.
   (void)e.chains(f);
   EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
             before.counter("engine.chain_sets.stale"));
   EXPECT_EQ(e.metrics().counter("engine.chain_sets.hits"),
             before.counter("engine.chain_sets.hits") + 1);
-
-  // Column WCBT/BCBT: invalidated for the traversing chain only.  The
-  // b-chain entry predates the commit and must be served as a survivor.
-  const BackwardBounds bb = e.chain_bounds(chain_b);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale"));
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.hits"),
-            before.counter("engine.chain_bounds.hits") + 1);
   EXPECT_GT(e.metrics().counter("engine.cache.survived_hits"),
             before.counter("engine.cache.survived_hits"));
-  (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale") + 1);
-
-  // Column hop bounds: kept — θ does not read channel depths.
-  for (const Edge& edge : e.graph().edges()) (void)e.hop(edge.from, edge.to);
-  EXPECT_EQ(e.metrics().counter("engine.hop.stale"),
-            before.counter("engine.hop.stale"));
-  EXPECT_EQ(e.metrics().counter("engine.hop.misses"),
-            before.counter("engine.hop.misses"));
 
   // Column disparity reports: invalidated downstream of the edge.
   (void)e.disparity(f);
@@ -193,10 +178,14 @@ TEST(EngineIncremental, BufferResizeInvalidatesOnlyTraversingChains) {
             before.counter("engine.reports.stale") + 1);
 
   // The recomputed values equal a fresh engine's, and the resize is the
-  // Lemma 6 shift: the buffered chain's WCBT moved, the other did not.
+  // Lemma 6 shift: the buffered chain's window moved by 2·T(s1), the other
+  // did not move.
   expect_matches_fresh(e, f);
-  const ResponseTimeMap rtm = response_times_of(e.graph());
-  EXPECT_EQ(bb.wcbt, backward_bounds(e.graph(), chain_b, rtm).wcbt);
+  const Duration shift = g.task(chain_a[0]).period * 2;
+  EXPECT_EQ(e.chain_bounds(chain_a).wcbt, ba0.wcbt + shift);
+  EXPECT_EQ(e.chain_bounds(chain_a).bcbt, ba0.bcbt + shift);
+  EXPECT_EQ(e.chain_bounds(chain_b).wcbt, bb0.wcbt);
+  EXPECT_EQ(e.chain_bounds(chain_b).bcbt, bb0.bcbt);
 }
 
 TEST(EngineIncremental, WcetEditInvalidatesEcuCohortOnly) {
@@ -205,9 +194,7 @@ TEST(EngineIncremental, WcetEditInvalidatesEcuCohortOnly) {
   const TaskId f = g.sinks().front();
   warm(e, f);
   const std::vector<Path> chains = e.chains(f);
-  const Path chain_a = chain_with_front(chains, 0);
-  const Path chain_b = chain_with_front(chains, 1);
-  const TaskId a1 = chain_a[1];
+  const TaskId a1 = chain_with_front(chains, 0)[1];
 
   const obs::MetricsSnapshot before = e.metrics();
   e.set_wcet_range(a1, Duration::us(200), Duration::us(500));
@@ -218,21 +205,15 @@ TEST(EngineIncremental, WcetEditInvalidatesEcuCohortOnly) {
   EXPECT_EQ(e.metrics().counter("engine.rta.runs"), 1u);
   EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 2u);
 
-  // Column WCBT/BCBT: the cohort-free b-chain survives; the a-chain is
-  // stale (its member epochs moved with the cohort).
-  (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale"));
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.hits"),
-            before.counter("engine.chain_bounds.hits") + 1);
-  (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale") + 1);
-
   // Column chain sets: kept — WCET edits cannot change the topology.
   (void)e.chains(f);
   EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
             before.counter("engine.chain_sets.stale"));
+
+  // Column disparity reports: invalidated downstream of the cohort.
+  (void)e.disparity(f);
+  EXPECT_EQ(e.metrics().counter("engine.reports.stale"),
+            before.counter("engine.reports.stale") + 1);
 
   expect_matches_fresh(e, f);
 }
@@ -243,24 +224,20 @@ TEST(EngineIncremental, PeriodEditAlsoInvalidatesChainSets) {
   const TaskId f = g.sinks().front();
   warm(e, f);
   const std::vector<Path> chains = e.chains(f);
-  const Path chain_a = chain_with_front(chains, 0);
-  const Path chain_b = chain_with_front(chains, 1);
+  const TaskId s1 = chain_with_front(chains, 0).front();
 
   const obs::MetricsSnapshot before = e.metrics();
-  e.set_period(chain_a.front(), Duration::ms(20));  // s1: 10ms -> 20ms
+  e.set_period(s1, Duration::ms(20));  // s1: 10ms -> 20ms
 
   // §9 row "period": chain sets downstream of the task are invalidated
-  // (period changes can alter enumeration pruning in general), bounds of
-  // chains through the task are stale, everything else survives.
+  // (period changes can alter enumeration pruning in general), and so are
+  // the reports downstream of its cohort.
   (void)e.chains(f);
   EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
             before.counter("engine.chain_sets.stale") + 1);
-  (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale"));
-  (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale") + 1);
+  (void)e.disparity(f);
+  EXPECT_EQ(e.metrics().counter("engine.reports.stale"),
+            before.counter("engine.reports.stale") + 1);
 
   expect_matches_fresh(e, f);
 }
@@ -270,9 +247,6 @@ TEST(EngineIncremental, PolicyEditInvalidatesEcuCohortOnly) {
   AnalysisEngine e{TaskGraph{g}};
   const TaskId f = g.sinks().front();
   warm(e, f);
-  const std::vector<Path> chains = e.chains(f);
-  const Path chain_a = chain_with_front(chains, 0);  // s1 -> a1 -> a2 -> f
-  const Path chain_b = chain_with_front(chains, 1);  // s2 -> b1 -> b2 -> f
 
   const obs::MetricsSnapshot before = e.metrics();
   e.set_policy(0, SchedPolicy::kPreemptive);  // flips a1/a2's ECU only
@@ -285,36 +259,13 @@ TEST(EngineIncremental, PolicyEditInvalidatesEcuCohortOnly) {
   EXPECT_EQ(e.metrics().counter("engine.rta.runs"), 1u);
   EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 2u);
 
-  // Column WCBT/BCBT: the other ECU's chain survives as a pure hit; the
-  // a-chain is stale (its members' epochs moved with the cohort).
-  (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale"));
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.hits"),
-            before.counter("engine.chain_bounds.hits") + 1);
-  EXPECT_GT(e.metrics().counter("engine.cache.survived_hits"),
-            before.counter("engine.cache.survived_hits"));
-
-  // Column hop bounds: exactly the hops touching a cohort member re-derive
-  // (the Lemma 4 refinements are routed by the policy); the three b-side
-  // and f-side hops survive.  Checked before the a-chain bound recompute,
-  // which consumes the stale entries itself.
-  std::size_t hop_stale = 0;
-  for (const Edge& edge : e.graph().edges()) {
-    const std::size_t s0 = e.metrics().counter("engine.hop.stale");
-    (void)e.hop(edge.from, edge.to);
-    hop_stale += e.metrics().counter("engine.hop.stale") - s0;
-  }
-  EXPECT_EQ(hop_stale, 3u);  // s1->a1, a1->a2, a2->f
-
-  (void)e.chain_bounds(chain_a);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale") + 1);
-
-  // Column chain sets: kept — dispatching cannot change the topology.
+  // Column chain sets: kept — dispatching cannot change the topology; the
+  // entry predates the commit and is served as a survivor.
   (void)e.chains(f);
   EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
             before.counter("engine.chain_sets.stale"));
+  EXPECT_GT(e.metrics().counter("engine.cache.survived_hits"),
+            before.counter("engine.cache.survived_hits"));
 
   // Column disparity reports: invalidated downstream of the cohort.
   (void)e.disparity(f);
@@ -366,10 +317,6 @@ TEST(EngineIncremental, OffsetEditInvalidatesNothing) {
   const obs::MetricsSnapshot after = e.metrics();
   EXPECT_EQ(after.counter("engine.mutate.commits"),
             before.counter("engine.mutate.commits") + 1);
-  EXPECT_EQ(after.counter("engine.hop.stale"),
-            before.counter("engine.hop.stale"));
-  EXPECT_EQ(after.counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale"));
   EXPECT_EQ(after.counter("engine.chain_sets.stale"),
             before.counter("engine.chain_sets.stale"));
   EXPECT_EQ(after.counter("engine.reports.stale"),
@@ -385,19 +332,18 @@ TEST(EngineIncremental, EdgeEditsRebuildScopedRegion) {
   AnalysisEngine e{TaskGraph{g}};
   const TaskId f = g.sinks().front();
   warm(e, f);
-  const std::vector<Path> chains = e.chains(f);
-  const Path chain_b = chain_with_front(chains, 1);
-
   // §9 row "add edge": chain sets + reports downstream of `to` rebuild;
-  // RTA and existing bounds survive (the new edge is in no cached chain).
+  // the RTA survives.
   const obs::MetricsSnapshot before = e.metrics();
   e.add_edge(0, f);  // new chain s1 -> f
   EXPECT_EQ(e.chains(f), enumerate_source_chains(e.graph(), f));
   EXPECT_EQ(e.chains(f).size(), 3u);
+  EXPECT_EQ(e.metrics().counter("engine.chain_sets.stale"),
+            before.counter("engine.chain_sets.stale") + 1);
+  (void)e.disparity(f);
+  EXPECT_EQ(e.metrics().counter("engine.reports.stale"),
+            before.counter("engine.reports.stale") + 1);
   EXPECT_EQ(e.metrics().counter("engine.rta.refreshed_tasks"), 0u);
-  (void)e.chain_bounds(chain_b);
-  EXPECT_EQ(e.metrics().counter("engine.chain_bounds.stale"),
-            before.counter("engine.chain_bounds.stale"));
   expect_matches_fresh(e, f);
 
   // §9 row "remove edge": the closure is taken on the *pre-commit* graph
@@ -660,9 +606,8 @@ TEST(EngineIncremental, OffsetPlanMatchesExactOracleOnEditedCopy) {
 
 TEST(EngineIncremental, LookupsAreCountedOnceAtTheEntryLayer) {
   // Regression pin for the double-count fix: a disparity() query counts
-  // exactly one report lookup; its internal chain-set/bound/hop reads
-  // (feeding the pair kernel's chain set and full-chain bounds) stay
-  // uncounted but still warm the caches.
+  // exactly one report lookup; its internal chain-set read (feeding the
+  // pair kernel) stays uncounted but still warms the cache.
   const TaskGraph g = two_ecu_chains();
   AnalysisEngine e{TaskGraph{g}};
   const TaskId f = g.sinks().front();
@@ -671,24 +616,13 @@ TEST(EngineIncremental, LookupsAreCountedOnceAtTheEntryLayer) {
   obs::MetricsSnapshot stats = e.metrics();
   EXPECT_EQ(stats.counter("engine.reports.misses"), 1u);
   EXPECT_EQ(stats.counter("engine.reports.hits"), 0u);
-  EXPECT_EQ(stats.counter("engine.chain_bounds.misses"), 0u);
-  EXPECT_EQ(stats.counter("engine.chain_bounds.hits"), 0u);
-  EXPECT_EQ(stats.counter("engine.hop.misses"), 0u);
-  EXPECT_EQ(stats.counter("engine.hop.hits"), 0u);
   EXPECT_EQ(stats.counter("engine.chain_sets.misses"), 0u);
   EXPECT_EQ(stats.counter("engine.chain_sets.hits"), 0u);
 
-  // The caches WERE warmed by the uncounted traffic: direct queries at
-  // each layer are hits on their first counted lookup.
-  const std::vector<Path> chains = enumerate_source_chains(g, f);
-  (void)e.hop(chains[0][0], chains[0][1]);
-  (void)e.chain_bounds(chains[0]);
+  // The cache WAS warmed by the uncounted traffic: a direct query is a
+  // hit on its first counted lookup.
   (void)e.chains(f);
   stats = e.metrics();
-  EXPECT_EQ(stats.counter("engine.hop.hits"), 1u);
-  EXPECT_EQ(stats.counter("engine.hop.misses"), 0u);
-  EXPECT_EQ(stats.counter("engine.chain_bounds.hits"), 1u);
-  EXPECT_EQ(stats.counter("engine.chain_bounds.misses"), 0u);
   EXPECT_EQ(stats.counter("engine.chain_sets.hits"), 1u);
   EXPECT_EQ(stats.counter("engine.chain_sets.misses"), 0u);
 }
@@ -820,8 +754,8 @@ TEST(EngineIncremental, VerifyPropertyHoldsAndFaultIsCaught) {
                    verify::Property::kIncrementalMatchesFresh, g, f, cfg)
                    .violated());
 
-  // Skipping the buffer-edge epoch bump must be caught at the resize step
-  // (the stale entry misses the Lemma 6 shift).
+  // Skipping the report dirtying of a buffer resize must be caught at the
+  // resize step (the stale report misses the Lemma 6 shift).
   cfg.fault = verify::FaultInjection::kSkipInvalidation;
   const verify::PropertyOutcome out = verify::check_property(
       verify::Property::kIncrementalMatchesFresh, g, f, cfg);

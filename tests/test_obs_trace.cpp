@@ -33,7 +33,7 @@ using ceta::testing::random_dag_graph;
 using obs::Tracer;
 
 /// The instrumented workload every schema assertion below runs against:
-/// an engine session (RTA, enumeration, hop/chain bounds, disparity of
+/// an engine session (RTA, enumeration, disparity of
 /// every fusing task), a direct pool round-trip, and a short simulation.
 void run_instrumented_workload() {
   obs::set_thread_name("main");
@@ -110,7 +110,7 @@ TEST(TraceSchema, GoldenShape) {
   // Every instrumented layer contributed at least one span.
   for (const char* name :
        {"analyze_response_times", "enumerate_source_chains", "hop_bound",
-        "rta", "hop", "chain_bounds", "chains", "disparity", "pool.job",
+        "rta", "chains", "disparity", "pool.job",
         "simulator.run"}) {
     EXPECT_TRUE(names.count(name)) << "missing span '" << name << "'";
   }

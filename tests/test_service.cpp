@@ -254,6 +254,52 @@ TEST(ServiceErrors, WireIntegersAtTheInt64EdgesAreRangeChecked) {
               std::string::npos)
         << doc.at("error").at("message").string;
   }
+  // INT64_MAX itself is a valid wire integer: the engine, not the decoder,
+  // rejects it as an offset.
+  EXPECT_NE(expect_error(set_offset(4, "9223372036854775807"),
+                         "invalid_argument")
+                .find("precondition failed"),
+            std::string::npos);
+  // Integers are read from the token, not through a double that rounds
+  // above 2^53: the echoed request id is exactly the one sent.
+  for (const std::string id : {"9007199254740993", "9223372036854775807"}) {
+    const std::string reply =
+        core.handle(1, "{\"id\":" + id + ",\"op\":\"ping\"}").reply;
+    EXPECT_NE(reply.find("\"id\": " + id + ","), std::string::npos) << reply;
+  }
+  // Integer fields take integer tokens only.
+  for (const char* ns : {"1.5", "1e3", "0.0"}) {
+    const std::string m = expect_error(set_offset(5, ns), "bad_request");
+    EXPECT_NE(m.find("offset_ns must be an integer"), std::string::npos) << m;
+  }
+  // int-typed fields are range-checked, not cut to their low 32 bits:
+  // 2^32 + 2 must not commit as 2.
+  const std::string edits[] = {
+      R"({"kind":"set_buffer","from":"A","to":"F1","buffer_size":4294967298})",
+      R"({"kind":"set_priority","task":"A","priority":4294967298})",
+      R"({"kind":"set_policy","ecu":4294967296,"policy":"edf"})"};
+  for (const std::string& edit : edits) {
+    const std::string m = expect_error(
+        core.handle(1, request(6, "mutate",
+                               "\"session\":\"g\",\"edits\":[" + edit + "]")),
+        "bad_request");
+    EXPECT_NE(m.find("out of integer range"), std::string::npos) << m;
+  }
+}
+
+TEST(ServiceErrors, PreconditionMessagesNameSourcesRelativeToTheRepo) {
+  // Engine preconditions reach clients verbatim; the file they name must
+  // not depend on where the library was built.
+  ServiceCore core;
+  create(core, "g", kTwoSinkGraph);
+  const std::string msg = expect_error(
+      core.handle(1, request(2, "mutate",
+                             "\"session\":\"g\",\"edits\":[{\"kind\":"
+                             "\"set_offset\",\"task\":\"A\",\"offset_ns\":"
+                             "-9223372036854775808}]")),
+      "invalid_argument");
+  EXPECT_NE(msg.find(" at src/graph/task.cpp:"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find(" /"), std::string::npos) << msg;
 }
 
 TEST(ServiceErrors, OversizedReplyNamesTheCap) {

@@ -337,5 +337,51 @@ TEST(Simulator, ObserverSeesEveryObservedJobWithMatchingDisparity) {
   EXPECT_EQ(obs.seeds.size(), 1u);
 }
 
+TEST(Simulator, PeriodsAboveTwoToThe56Terminate) {
+  // Two sources -> A, B -> F on one ECU with periods of 1e17 and 9e16 ns.
+  // At a minimum period >= 2^56 an uncapped calendar year (1024 buckets
+  // of bit_floor(min_period / 8)) reaches 2^63 and wraps, no event fits
+  // the open year and run() spins forever; the ctest TIMEOUT turns such
+  // a hang into a failure.
+  TaskGraph g;
+  const auto source = [&g](const char* name, std::int64_t period_ns) {
+    Task t;
+    t.name = name;
+    t.period = Duration::ns(period_ns);
+    return g.add_task(t);
+  };
+  const auto task = [&g](const char* name, std::int64_t period_ns, int prio) {
+    Task t;
+    t.name = name;
+    t.period = Duration::ns(period_ns);
+    t.wcet = t.bcet = Duration::us(1);
+    t.ecu = 0;
+    t.priority = prio;
+    return g.add_task(t);
+  };
+  const std::int64_t slow = 100'000'000'000'000'000;  // 1e17 ns
+  const std::int64_t fast = 90'000'000'000'000'000;   // 9e16 ns >= 2^56
+  const TaskId s1 = source("S1", slow);
+  const TaskId s2 = source("S2", fast);
+  const TaskId a = task("A", slow, 0);
+  const TaskId b = task("B", fast, 1);
+  const TaskId f = task("F", fast, 2);
+  g.add_edge(s1, a);
+  g.add_edge(s2, b);
+  g.add_edge(a, f);
+  g.add_edge(b, f);
+  g.validate();
+
+  SimOptions opt;
+  opt.duration = Duration::s(5);
+  const SimResult res = Simulator(g, opt).run();
+  // Only the jobs released at t = 0 fall inside the window; the three
+  // unit-WCET jobs on the shared ECU finish back to back.
+  EXPECT_EQ(res.jobs_finished[a], 1);
+  EXPECT_EQ(res.jobs_finished[b], 1);
+  EXPECT_EQ(res.jobs_finished[f], 1);
+  EXPECT_EQ(res.max_response_time[f], Duration::us(3));
+}
+
 }  // namespace
 }  // namespace ceta

@@ -206,6 +206,31 @@ TEST(Fixture, RejectsMissingDirectives) {
                PreconditionError);
 }
 
+TEST(Fixture, RejectsSimSeedsThatAreNotWholeUnsignedIntegers) {
+  Fixture f;
+  f.property = Property::kSimWithinBound;
+  f.task = "E";
+  f.graph = testing::diamond_graph();
+  const std::string text = verify::to_text(f);
+  const std::string good = "# sim-seed: " + std::to_string(f.sim_seed) + "\n";
+  const std::size_t at = text.find(good);
+  ASSERT_NE(at, std::string::npos);
+  // Neither a trailing suffix nor a sign makes a valid seed.
+  for (const std::string bad : {"12abc", "-1"}) {
+    std::string edited = text;
+    edited.replace(at, good.size(), "# sim-seed: " + bad + "\n");
+    try {
+      (void)verify::fixture_from_text(edited);
+      ADD_FAILURE() << "accepted sim-seed '" << bad << "'";
+    } catch (const PreconditionError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("line 4: malformed sim-seed '" + bad + "'"),
+                std::string::npos)
+          << msg;
+    }
+  }
+}
+
 TEST(Shrink, ReducesToPredicateMinimum) {
   // A synthetic predicate that only counts tasks: the shrinker must drive
   // the 9-task two-chain instance down to exactly the predicate's floor.
